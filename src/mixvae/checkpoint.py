@@ -17,7 +17,7 @@ Layout (all little-endian):
     Adam m then v per buffer, f64, declared order
     usage accumulated, K x f64
 
-Float payloads are written with numpy '<f8' tobytes, so save -> load ->
+Float payloads are written as numpy '<f8' buffers, so save -> load ->
 save is byte-identical.
 """
 
@@ -48,8 +48,8 @@ class LoadedCheckpoint:
     is_snapshot: bool
 
 
-def _write_array(out: bytearray, a: np.ndarray) -> None:
-    out += np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _write_array(fh, a: np.ndarray) -> None:
+    fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 class _Reader:
@@ -76,6 +76,7 @@ class _Reader:
 def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None,
                     usage: UsageCounts | None = None, step: int = 0,
                     snapshot: bool = False) -> None:
+    """Assemble the header in memory, then write it and each float buffer to the file."""
     adam = adam if adam is not None else AdamState()
     usage = usage if usage is not None else UsageCounts(params.k)
     if len(usage.accumulated) != params.k:
@@ -94,17 +95,19 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None,
     out += struct.pack(f"<{len(arch.decoder)}I", *arch.decoder)
     out += struct.pack("<Q", usage.total_batches)
     buffers = params.buffers()
-    for _, buf in buffers:
-        _write_array(out, buf)
-    for name, buf in buffers:
-        m = adam.m.get(name)
-        _write_array(out, m if m is not None and m.shape == buf.shape else np.zeros_like(buf))
-    for name, buf in buffers:
-        v = adam.v.get(name)
-        _write_array(out, v if v is not None and v.shape == buf.shape else np.zeros_like(buf))
-    _write_array(out, usage.accumulated)
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    # A 1 MB write buffer gathers the many small buffers of a small net
+    # into few system calls; larger buffers go to the file directly.
+    with open(path, "wb", buffering=1 << 20) as fh:
+        fh.write(out)
+        for _, buf in buffers:
+            _write_array(fh, buf)
+        for name, buf in buffers:
+            m = adam.m.get(name)
+            _write_array(fh, m if m is not None and m.shape == buf.shape else np.zeros_like(buf))
+        for name, buf in buffers:
+            v = adam.v.get(name)
+            _write_array(fh, v if v is not None and v.shape == buf.shape else np.zeros_like(buf))
+        _write_array(fh, usage.accumulated)
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:

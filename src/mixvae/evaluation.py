@@ -16,12 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import softplus
+from .kernels import check_finite, softplus
 from .model import SIGMA_FLOOR, ModelParams, encode_shared, infer_task_posterior
 from .rng import RngState
 
 KNN_KS = (3, 5, 10)
 _ENCODE_CHUNK = 2048
+# Latent-head weight entries gathered at once, rows x 2*n_z x H (8 MB of float64).
+_HEAD_BLOCK = 2 ** 20
+# Test x train squared-distance entries per k-NN block (8 MB of float64).
+_KNN_BLOCK = 2 ** 20
 
 
 @dataclass
@@ -90,7 +94,12 @@ def encode_eval_latents(dataset: Dataset, params: ModelParams, rng: RngState,
         h = encode_shared(x[lo:hi], params)
         q = infer_task_posterior(h, params)
         yhat = np.argmax(q, axis=1)
-        a = np.einsum("bh,boh->bo", h, params.lat_w[yhat], optimize=True) + params.lat_b[yhat]
+        a = np.empty((hi - lo, 2 * nz))
+        rows = max(1, _HEAD_BLOCK // params.lat_w[0].size)
+        for start in range(0, hi - lo, rows):
+            r = slice(start, start + rows)
+            y = yhat[r]
+            a[r] = np.einsum("bh,boh->bo", h[r], params.lat_w[y], optimize=True) + params.lat_b[y]
         mu = a[:, :nz]
         if mode == "sampled":
             sig = softplus(a[:, nz:]) + SIGMA_FLOOR
@@ -101,6 +110,30 @@ def encode_eval_latents(dataset: Dataset, params: ModelParams, rng: RngState,
     return latents, comps
 
 
+def _k_nearest(d2: np.ndarray, k_top: int) -> np.ndarray:
+    """Column indices of each row's k_top smallest entries, nearest first.
+
+    Returns exactly np.argsort(d2, axis=1, kind="stable")[:, :k_top]
+    without sorting whole rows. argpartition finds each row's k_top
+    smallest entries and the largest of them, the bound. When no other
+    entry equals the bound, those k_top columns, put in column order
+    and stably sorted by distance, are the answer. A row with more
+    entries <= bound than k_top (a distance tie at the boundary) stably
+    sorts all of them instead, so the tie goes to the lowest columns.
+    """
+    if k_top == d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")
+    top = np.sort(np.argpartition(d2, k_top - 1, axis=1)[:, :k_top], axis=1)
+    vals = np.take_along_axis(d2, top, axis=1)
+    bound = vals.max(axis=1, keepdims=True)
+    nearest = np.take_along_axis(top, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    tied = np.flatnonzero(np.count_nonzero(d2 <= bound, axis=1) > k_top)
+    for r in tied:
+        c = np.flatnonzero(d2[r] <= bound[r])
+        nearest[r] = c[np.argsort(d2[r, c], kind="stable")[:k_top]]
+    return nearest
+
+
 def knn_errors(train_latents: np.ndarray, train_labels: np.ndarray,
                test_latents: np.ndarray, test_labels: np.ndarray,
                ks: tuple[int, ...]) -> dict[int, float]:
@@ -108,6 +141,10 @@ def knn_errors(train_latents: np.ndarray, train_labels: np.ndarray,
 
     Majority vote among the k nearest; exact distance ties resolve in
     train-index order (stable sort), vote ties to the smallest class.
+    Squared distances are formed a block of test rows at a time (about
+    _KNN_BLOCK entries each), and each row's k nearest come from a
+    partial sort (_k_nearest) that returns what a full stable sort of
+    the row would. A non-finite distance raises NumericError.
     """
     train_latents = np.asarray(train_latents, dtype=np.float64)
     test_latents = np.asarray(test_latents, dtype=np.float64)
@@ -123,14 +160,19 @@ def knn_errors(train_latents: np.ndarray, train_labels: np.ndarray,
     k_top = max(ks)
     train_sq = np.sum(train_latents ** 2, axis=1)
     correct = {k: 0 for k in ks}
-    chunk = max(1, int(2 ** 25 // max(n_train, 1)))
+    chunk = max(1, _KNN_BLOCK // n_train)
     class_ids = np.arange(n_classes)
     for lo in range(0, test_latents.shape[0], chunk):
         hi = min(lo + chunk, test_latents.shape[0])
         t = test_latents[lo:hi]
-        d2 = np.sum(t ** 2, axis=1)[:, None] - 2.0 * (t @ train_latents.T) + train_sq[None, :]
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k_top]
-        votes = train_labels[nearest]
+        # |t|^2 - 2 t.x + |x|^2 in place, bit for bit: scaling by -2 is
+        # exact, and a - b is (-b) + a in IEEE arithmetic.
+        d2 = t @ train_latents.T
+        d2 *= -2.0
+        d2 += np.sum(t ** 2, axis=1)[:, None]
+        d2 += train_sq
+        check_finite("k-NN squared distances", d2)
+        votes = train_labels[_k_nearest(d2, k_top)]
         true = test_labels[lo:hi]
         for k in ks:
             counts = np.sum(votes[:, :k, None] == class_ids, axis=1)

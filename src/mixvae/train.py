@@ -35,7 +35,7 @@ from .errors import ConfigError, NumericError
 from .evaluation import EvalReport, encode_eval_latents, evaluate, export_latents_csv, knn_errors
 from .expansion import ExpansionState, PoorSampleBuffer, expand, posterior_mass, screen_batch
 from .kernels import finite_difference_grad
-from .model import Architecture, ModelParams, backward, init_params
+from .model import Architecture, ModelParams, backward, forward_loss, init_params
 from .replay import Snapshot, SnapshotPolicy, UsageCounts, replay_step, take_snapshot
 from .rng import (
     STREAM_DATASET,
@@ -339,11 +339,11 @@ def _grad_rel_errors(params: ModelParams, x: np.ndarray, eps: np.ndarray,
         grads[corrupt_buffer] = grads[corrupt_buffer] + 1e-2
     out = {}
     for name, buf in params.buffers():
-        def f(v, name=name, shape=buf.shape):
-            trial = params.clone()
+        trial = params.clone()
+
+        def f(v, trial=trial, name=name, shape=buf.shape):
             trial.set_buffer(name, v.reshape(shape))
-            loss, _, _ = backward(x, trial, None, y_obs=y_obs, eps=eps)
-            return loss
+            return forward_loss(x, trial, eps, y_obs)
         fd = finite_difference_grad(f, buf.copy(), h)
         g = grads[name]
         denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))

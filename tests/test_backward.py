@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_inputs, tiny_params
 from mixvae.kernels import finite_difference_grad
-from mixvae.model import backward, draw_eps
+from mixvae.model import backward, draw_eps, forward_loss
 from mixvae.rng import RngState
 
 
@@ -13,11 +13,11 @@ def fd_check(params, x, eps, y_obs=None, h=1e-5):
     _, grads, _ = backward(x, params, None, y_obs=y_obs, eps=eps)
     worst = {}
     for name, buf in params.buffers():
-        def f(v, name=name, shape=buf.shape):
-            trial = params.clone()
+        trial = params.clone()
+
+        def f(v, trial=trial, name=name, shape=buf.shape):
             trial.set_buffer(name, v.reshape(shape))
-            loss, _, _ = backward(x, trial, None, y_obs=y_obs, eps=eps)
-            return loss
+            return forward_loss(x, trial, eps, y_obs)
         fd = finite_difference_grad(f, buf.copy(), h)
         g = grads[name]
         denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
@@ -88,6 +88,22 @@ def test_loss_is_negative_mean_elbo():
     eps = draw_eps(params, 8, RngState(4, (26,)))
     loss, _, bd = backward(x, params, None, eps=eps)
     assert loss == pytest.approx(-float(np.mean(bd.total)), abs=1e-12)
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_forward_loss_is_backward_loss_bit_for_bit(batch):
+    params = tiny_params(seed=batch)
+    x = random_inputs(batch, 6, seed=batch + 70)
+    eps = draw_eps(params, batch, RngState(batch, (29,)))
+    y = RngState(batch, (30,)).integers(params.k, size=batch)
+    for y_obs in (None, y):
+        loss, _, _ = backward(x, params, None, y_obs=y_obs, eps=eps)
+        assert forward_loss(x, params, eps, y_obs) == loss
+    # a single unbatched sample takes the squeezed paths of elbo and supervised_elbo
+    loss, _, _ = backward(x[0], params, None, y_obs=y[:1], eps=eps[:1])
+    assert forward_loss(x[0], params, eps[:1], int(y[0])) == loss
+    loss, _, _ = backward(x[0], params, None, eps=eps[:1])
+    assert forward_loss(x[0], params, eps[:1]) == loss
 
 
 def test_rng_replay_forward_backward_same_noise():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mixvae.checkpoint import load_checkpoint, save_checkpoint
 from mixvae.errors import CheckpointError
 from mixvae.model import backward, elbo
 from mixvae.replay import UsageCounts
-from mixvae.rng import RngState
+from mixvae.rng import ALGORITHM_ID, RngState
 
 
 def trained_state(seed=0, steps=5):
@@ -84,6 +86,38 @@ def test_training_continues_identically_after_reload(tmp_path):
     adam_step(loaded.params.to_dict(), g2, loaded.adam)
     for (name, a), (_, b) in zip(params.buffers(), loaded.params.buffers()):
         assert np.array_equal(a, b), name
+
+
+def documented_layout(params, adam, usage, step, snapshot):
+    """The file bytes, assembled field by field from the layout in checkpoint.py."""
+    arch = params.arch
+    parts = [b"MIXVAE\x01\x00", struct.pack("<I", 1), struct.pack("<I", int(snapshot)),
+             ALGORITHM_ID.encode("ascii").ljust(16, b"\x00"),
+             struct.pack("<dddd", adam.lr, adam.beta1, adam.beta2, adam.eps),
+             struct.pack("<Q", adam.t), struct.pack("<Q", step),
+             struct.pack("<IIII", params.k, arch.k_max, arch.n_z, arch.input_dim),
+             struct.pack("<I", len(arch.encoder))]
+    parts += [struct.pack("<I", n) for n in arch.encoder]
+    parts.append(struct.pack("<I", len(arch.decoder)))
+    parts += [struct.pack("<I", n) for n in arch.decoder]
+    parts.append(struct.pack("<Q", usage.total_batches))
+    floats = [buf for _, buf in params.buffers()]
+    floats += [adam.m.get(name, np.zeros_like(buf)) for name, buf in params.buffers()]
+    floats += [adam.v.get(name, np.zeros_like(buf)) for name, buf in params.buffers()]
+    floats.append(usage.accumulated)
+    for a in floats:
+        parts += [struct.pack("<d", float(v)) for v in np.ravel(a)]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("fresh_adam, snapshot", [(False, False), (True, True)])
+def test_file_matches_documented_layout(tmp_path, fresh_adam, snapshot):
+    params, adam, usage = trained_state(seed=3)
+    if fresh_adam:
+        adam = AdamState()  # no moments yet: written as zeros
+    path = tmp_path / "layout.ckpt"
+    save_checkpoint(path, params, adam, usage, step=123, snapshot=snapshot)
+    assert path.read_bytes() == documented_layout(params, adam, usage, 123, snapshot)
 
 
 def test_bad_magic(tmp_path):

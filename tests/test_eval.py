@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_params
+from mixvae import evaluation
 from mixvae.data import Dataset, make_blob_dataset
 from mixvae.evaluation import (
     cluster_accuracy,
@@ -18,8 +21,39 @@ from mixvae.evaluation import (
     save_grid_matrix,
     write_pgm,
 )
+from mixvae.errors import NumericError
 from mixvae.model import SIGMA_FLOOR
 from mixvae.rng import RngState
+
+
+def sorted_knn_errors(train, train_labels, test, test_labels, ks):
+    """Reference k-NN: a full stable sort of every distance row."""
+    d2 = np.sum(test ** 2, axis=1)[:, None] - 2.0 * (test @ train.T) + np.sum(train ** 2, axis=1)
+    votes = train_labels[np.argsort(d2, axis=1, kind="stable")[:, :max(ks)]]
+    n_classes = int(max(train_labels.max(), test_labels.max())) + 1
+    out = {}
+    for k in ks:
+        counts = np.sum(votes[:, :k, None] == np.arange(n_classes), axis=1)
+        out[k] = 1.0 - float(np.mean(np.argmax(counts, axis=1) == test_labels))
+    return out
+
+
+@st.composite
+def coarse_latents(draw):
+    """Train and test latents on a 3-point grid per axis: exact distance ties everywhere."""
+    dim = draw(st.integers(1, 3))
+    n_train = draw(st.integers(1, 40))
+    n_test = draw(st.integers(1, 30))
+    cells = st.integers(0, 2)
+    train = np.array(draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                   min_size=n_train, max_size=n_train)), dtype=np.float64)
+    test = np.array(draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                  min_size=n_test, max_size=n_test)), dtype=np.float64)
+    train_labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n_train,
+                                          max_size=n_train)))
+    test_labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n_test, max_size=n_test)))
+    k_top = draw(st.integers(1, n_train))
+    return train, train_labels, test, test_labels, k_top
 
 
 class TestClusterAccuracy:
@@ -104,6 +138,43 @@ class TestKnn:
         # k=2: one vote each; smallest class (0) wins
         err = knn_error(train, labels, np.array([[0.4]]), np.array([0]), 2)
         assert err == 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(coarse_latents())
+    def test_partial_sort_matches_full_stable_sort(self, case):
+        train, _, test, _, k_top = case
+        d2 = np.sum(test ** 2, axis=1)[:, None] - 2.0 * (test @ train.T) + np.sum(train ** 2, axis=1)
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :k_top]
+        np.testing.assert_array_equal(evaluation._k_nearest(d2, k_top), expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(coarse_latents(), st.integers(1, 64))
+    def test_knn_errors_match_full_sort_across_blocks(self, case, block):
+        train, train_labels, test, test_labels, k_top = case
+        ks = tuple(sorted({1, k_top, max(1, k_top // 2)}))
+        expected = sorted_knn_errors(train, train_labels, test, test_labels, ks)
+        saved = evaluation._KNN_BLOCK
+        evaluation._KNN_BLOCK = block  # a block of max(1, block // n_train) test rows
+        try:
+            got = knn_errors(train, train_labels, test, test_labels, ks)
+        finally:
+            evaluation._KNN_BLOCK = saved
+        assert got == expected
+
+    def test_boundary_tie_goes_to_lowest_index(self):
+        # distances 4, 1, 1, 1, 0: k=3 takes index 4, then the tied 1 and 2
+        d2 = np.array([[4.0, 1.0, 1.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(evaluation._k_nearest(d2, 3), [[4, 1, 2]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_non_finite_latent_raises(self, bad, side):
+        z = RngState(7, (97,)).normal((12, 3))
+        y = np.arange(12) % 3
+        train, test = z.copy(), z.copy()
+        (train if side == "train" else test)[5, 1] = bad
+        with pytest.raises(NumericError):
+            knn_errors(train, y, test, y, (3,))
 
     def test_invalid_k(self):
         z = np.zeros((4, 2))
