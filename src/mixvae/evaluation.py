@@ -121,8 +121,6 @@ def _k_nearest(d2: np.ndarray, k_top: int) -> np.ndarray:
     entries <= bound than k_top (a distance tie at the boundary) stably
     sorts all of them instead, so the tie goes to the lowest columns.
     """
-    if k_top == d2.shape[1]:
-        return np.argsort(d2, axis=1, kind="stable")
     top = np.sort(np.argpartition(d2, k_top - 1, axis=1)[:, :k_top], axis=1)
     vals = np.take_along_axis(d2, top, axis=1)
     bound = vals.max(axis=1, keepdims=True)

@@ -431,18 +431,6 @@ def supervised_elbo(x: np.ndarray, y_obs, params: ModelParams, rng: RngState,
     return float(vals[0]) if single else vals
 
 
-def forward_loss(x: np.ndarray, params: ModelParams, eps: np.ndarray, y_obs=None) -> float:
-    """The loss backward() returns, from the forward pass alone.
-
-    Negative batch mean of elbo().total (y_obs None) or of
-    supervised_elbo() (y_obs given): the same arithmetic as backward's
-    loss, so it is what finite differences of that loss should probe.
-    """
-    if y_obs is None:
-        return float(-np.mean(elbo(x, params, None, eps=eps).total))
-    return float(-np.mean(supervised_elbo(x, y_obs, params, None, eps=eps)))
-
-
 def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(buf) for name, buf in params.buffers()}
 

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from mixvae.model import Architecture, init_params
+from mixvae.model import Architecture, backward, elbo, init_params, supervised_elbo
 from mixvae.rng import RngState
+from mixvae.train import grad_rel_errors
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -53,3 +54,20 @@ def rng():
 
 def random_inputs(n, d, seed=5):
     return RngState(seed, (31,)).uniform(0.02, 0.98, (n, d))
+
+
+def forward_loss(x, params, eps, y_obs=None):
+    """The loss backward() returns, from the forward pass alone: the
+    negative batch mean of elbo().total, or of supervised_elbo() when
+    y_obs is given."""
+    if y_obs is None:
+        return float(-np.mean(elbo(x, params, None, eps=eps).total))
+    return float(-np.mean(supervised_elbo(x, y_obs, params, None, eps=eps)))
+
+
+def fd_check(params, x, eps, y_obs=None, h=1e-5):
+    """Max relative error of every analytic gradient buffer against
+    central differences of the same fixed-noise loss. forward_loss
+    evaluates that loss at about a third of the cost of backward()."""
+    _, grads, _ = backward(x, params, None, y_obs=y_obs, eps=eps)
+    return grad_rel_errors(params, grads, lambda p: forward_loss(x, p, eps, y_obs), h)

@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MNIST_DIR, needs_mnist, random_inputs, tiny_params
+from conftest import MNIST_DIR, fd_check, needs_mnist, random_inputs, tiny_params
 from mixvae.config import apply_overrides, load_preset
 from mixvae.data import load_idx
 from mixvae.errors import StateError
 from mixvae.evaluation import knn_errors
 from mixvae.expansion import PoorSampleBuffer, screen_batch, select_parent
-from mixvae.kernels import finite_difference_grad
 from mixvae.model import (
     backward,
     bernoulli_log_likelihood,
@@ -27,7 +26,6 @@ from mixvae.model import (
     draw_eps,
     elbo,
     encode_shared,
-    forward_loss,
     gaussian_kl,
     generate,
     infer_task_posterior,
@@ -59,17 +57,7 @@ def test_criterion_1_gradient_fidelity():
         eps = draw_eps(params, 2, rng)
         y = rng.integers(params.k, size=2)
         for y_obs in (None, y):
-            _, grads, _ = backward(x, params, None, y_obs=y_obs, eps=eps)
-            for name, buf in params.buffers():
-                trial = params.clone()
-
-                def f(v, trial=trial, name=name, shape=buf.shape):
-                    trial.set_buffer(name, v.reshape(shape))
-                    return forward_loss(x, trial, eps, y_obs)
-                fd = finite_difference_grad(f, buf.copy(), 1e-5)
-                g = grads[name]
-                rel = np.max(np.abs(g - fd) / np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd))))
-                worst = max(worst, float(rel))
+            worst = max(worst, *fd_check(params, x, eps, y_obs).values())
     elapsed = time.time() - t0
     assert worst < 1e-4, f"max relative error {worst:.3e}"
     assert elapsed < 60, f"took {elapsed:.1f}s"

@@ -1,28 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_inputs, tiny_params
-from mixvae.kernels import finite_difference_grad
-from mixvae.model import backward, draw_eps, forward_loss
+from conftest import fd_check, forward_loss, random_inputs, tiny_params
+from mixvae.model import backward, draw_eps
 from mixvae.rng import RngState
-
-
-def fd_check(params, x, eps, y_obs=None, h=1e-5):
-    """Max relative error of every analytic gradient buffer against
-    central differences of the same fixed-noise loss."""
-    _, grads, _ = backward(x, params, None, y_obs=y_obs, eps=eps)
-    worst = {}
-    for name, buf in params.buffers():
-        trial = params.clone()
-
-        def f(v, trial=trial, name=name, shape=buf.shape):
-            trial.set_buffer(name, v.reshape(shape))
-            return forward_loss(x, trial, eps, y_obs)
-        fd = finite_difference_grad(f, buf.copy(), h)
-        g = grads[name]
-        denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
-        worst[name] = float(np.max(np.abs(g - fd) / denom))
-    return worst
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -209,6 +209,18 @@ class TestEncodeEvalLatents:
         z2, _ = encode_eval_latents(ds, params, RngState(9, (99,)), "sampled")
         assert np.array_equal(z1, z2)
 
+    @pytest.mark.parametrize("mode", ["mean", "sampled"])
+    @pytest.mark.parametrize("block", [1, 72, 252])  # 1, 2 and 7 rows of 36 head entries
+    def test_head_gather_blocks_change_no_bits(self, mode, block, monkeypatch):
+        ds = self.make_ds()
+        params = self.params16()
+        z_full, c_full = encode_eval_latents(ds, params, RngState(11, (94,)), mode)
+        monkeypatch.setattr(evaluation, "_HEAD_BLOCK", block)
+        z, c = encode_eval_latents(ds, params, RngState(11, (94,)), mode)
+        assert len(np.unique(c_full)) > 1  # the blocks gather more than one component's head
+        assert np.array_equal(z, z_full)
+        assert np.array_equal(c, c_full)
+
     def test_floor_sigma_sampled_close_to_mean(self):
         ds = self.make_ds()
         params = self.params16()
