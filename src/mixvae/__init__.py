@@ -12,7 +12,7 @@ from .config import ExperimentConfig, load_preset, parse_config, preset_names, s
 from .data import Dataset, StreamSpec, load_idx, make_blob_dataset, next_batch
 from .evaluation import EvalReport, cluster_accuracy, evaluate, knn_error
 from .expansion import ExpansionState, PoorSampleBuffer, expand, select_parent
-from .kernels import finite_difference_grad, log_sum_exp, matmul, softmax, softplus
+from .kernels import finite_difference_grad, log_sum_exp, softmax, softplus
 from .model import (
     Architecture,
     ElboBreakdown,

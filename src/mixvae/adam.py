@@ -53,9 +53,10 @@ class AdamState:
         self.v[name] = np.concatenate([self.v[name], np.zeros(pad)], axis=0)
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState) -> None:
+def adam_step(params, grads: dict[str, np.ndarray], state: AdamState) -> None:
     """One Adam update, in place, over every buffer present in `grads`.
+
+    `params[name]` must give each parameter array (a ModelParams or a dict).
 
     t increments by exactly 1 per call. Raises ShapeError if a gradient
     or accumulator shape disagrees with its parameter.

@@ -13,8 +13,8 @@ Layout (all little-endian):
     n_enc, sizes...  u32 each  encoder layer widths
     n_dec, sizes...  u32 each  decoder hidden widths (output width is D)
     usage_total      u64
-    parameter buffers, f64, declared order
-    Adam m then v per buffer, f64, declared order
+    parameter buffers, f64, in model.param_spec order
+    Adam m then v per buffer, f64, same order (zeros when absent)
     usage accumulated, K x f64
 
 Float payloads are written as numpy '<f8' buffers, so save -> load ->
@@ -30,7 +30,7 @@ import numpy as np
 
 from .adam import AdamState
 from .errors import CheckpointError
-from .model import Architecture, ModelParams
+from .model import Architecture, ModelParams, param_spec
 from .replay import UsageCounts
 from .rng import ALGORITHM_ID
 
@@ -95,18 +95,18 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None,
     out += struct.pack(f"<{len(arch.decoder)}I", *arch.decoder)
     out += struct.pack("<Q", usage.total_batches)
     buffers = params.buffers()
+    for name, buf in buffers:
+        if name in adam.m and not adam.m[name].shape == adam.v[name].shape == buf.shape:
+            raise CheckpointError(f"Adam moments of {name} disagree with its shape {buf.shape}")
     # A 1 MB write buffer gathers the many small buffers of a small net
     # into few system calls; larger buffers go to the file directly.
     with open(path, "wb", buffering=1 << 20) as fh:
         fh.write(out)
         for _, buf in buffers:
             _write_array(fh, buf)
-        for name, buf in buffers:
-            m = adam.m.get(name)
-            _write_array(fh, m if m is not None and m.shape == buf.shape else np.zeros_like(buf))
-        for name, buf in buffers:
-            v = adam.v.get(name)
-            _write_array(fh, v if v is not None and v.shape == buf.shape else np.zeros_like(buf))
+        for moments in (adam.m, adam.v):
+            for name, buf in buffers:
+                _write_array(fh, moments[name] if name in moments else np.zeros_like(buf))
         _write_array(fh, usage.accumulated)
 
 
@@ -130,39 +130,20 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     dec = rd.unpack(f"<{n_dec}I", "decoder sizes")
     (usage_total,) = rd.unpack("<Q", "usage total")
 
-    arch = Architecture(input_dim=input_dim, encoder=tuple(enc), n_z=n_z,
-                        decoder=tuple(dec), k_max=k_max)
-    sizes = (input_dim,) + tuple(enc)
-    dsizes = (n_z,) + tuple(dec) + (input_dim,)
-    h = enc[-1]
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for i in range(n_enc):
-        shapes.append((f"enc_w.{i}", (sizes[i + 1], sizes[i])))
-        shapes.append((f"enc_b.{i}", (sizes[i + 1],)))
-    shapes += [("task_w", (k, h)), ("task_b", (k,)),
-               ("lat_w", (k, 2 * n_z, h)), ("lat_b", (k, 2 * n_z)),
-               ("prior_mu", (k, n_z)), ("prior_rho", (k, n_z))]
-    for i in range(len(dsizes) - 1):
-        shapes.append((f"dec_w.{i}", (dsizes[i + 1], dsizes[i])))
-        shapes.append((f"dec_b.{i}", (dsizes[i + 1],)))
-
-    bufs = {name: rd.array(shape, name) for name, shape in shapes}
+    if not 1 <= k <= k_max or 0 in (n_z, input_dim, n_enc, n_dec) + enc + dec:
+        raise CheckpointError(f"bad model dims: K={k}, K_max={k_max}, n_z={n_z}, D={input_dim}, "
+                              f"encoder {enc}, decoder {dec}")
+    arch = Architecture(input_dim=input_dim, encoder=enc, n_z=n_z, decoder=dec, k_max=k_max)
+    spec = param_spec(arch, k)
+    bufs = {name: rd.array(shape, name) for name, shape, _ in spec}
     adam = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
     adam.t = t
-    adam.m = {name: rd.array(shape, f"adam m {name}") for name, shape in shapes}
-    adam.v = {name: rd.array(shape, f"adam v {name}") for name, shape in shapes}
+    adam.m = {name: rd.array(shape, f"adam m {name}") for name, shape, _ in spec}
+    adam.v = {name: rd.array(shape, f"adam v {name}") for name, shape, _ in spec}
     usage = UsageCounts(k)
     usage.accumulated = rd.array((k,), "usage counts")
     usage.total_batches = usage_total
-
-    params = ModelParams(
-        arch,
-        enc_w=[bufs[f"enc_w.{i}"] for i in range(n_enc)],
-        enc_b=[bufs[f"enc_b.{i}"] for i in range(n_enc)],
-        task_w=bufs["task_w"], task_b=bufs["task_b"],
-        lat_w=bufs["lat_w"], lat_b=bufs["lat_b"],
-        prior_mu=bufs["prior_mu"], prior_rho=bufs["prior_rho"],
-        dec_w=[bufs[f"dec_w.{i}"] for i in range(len(dsizes) - 1)],
-        dec_b=[bufs[f"dec_b.{i}"] for i in range(len(dsizes) - 1)],
-    )
-    return LoadedCheckpoint(params, adam, usage, int(step), bool(flags & FLAG_SNAPSHOT))
+    if rd.pos != len(rd.blob):
+        raise CheckpointError(f"{len(rd.blob) - rd.pos} bytes after the usage counts")
+    return LoadedCheckpoint(ModelParams(arch, k, bufs), adam, usage, int(step),
+                            bool(flags & FLAG_SNAPSHOT))

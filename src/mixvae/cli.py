@@ -13,10 +13,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .checkpoint import load_checkpoint
 from .config import apply_overrides, load_preset, parse_config, preset_names
+from .data import default_image_hw
 from .errors import MixvaeError
 from .evaluation import (
     encode_eval_latents,
@@ -141,10 +140,7 @@ def _dispatch(args) -> int:
         loaded = load_checkpoint(args.checkpoint)
         rng = substream(args.seed, STREAM_EVAL, 10 ** 6)
         x, _y = generate(loaded.params, loaded.usage.prior(), args.n, rng)
-        d = loaded.params.arch.input_dim
-        side = int(round(np.sqrt(d)))
-        hw = (side, d // side) if side * (d // side) == d else (1, d)
-        write_pgm(args.out_file, sample_grid(x, hw))
+        write_pgm(args.out_file, sample_grid(x, default_image_hw(loaded.params.arch.input_dim)))
         if args.matrix_file:
             save_grid_matrix(args.matrix_file, x)
         print(f"wrote {args.n} samples to {args.out_file}")

@@ -250,10 +250,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def normalize_config_text(text: str) -> str:
-    return serialize_config(parse_config(text))
-
-
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
     """Apply `key=value` strings (CLI --set) on top of a config."""
     cfg = copy.deepcopy(cfg)

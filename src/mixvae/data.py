@@ -27,6 +27,13 @@ MATRIX_MAGIC = b"MVDS\x01\x00"
 STREAM_MODES = ("iid", "sequential", "continuous_drift", "split_task")
 
 
+def default_image_hw(dim: int) -> tuple[int, int]:
+    """Display shape of a flat dim-vector: (s, dim // s) for s = round(sqrt(dim))
+    when that tiles it exactly, one row otherwise."""
+    side = int(round(np.sqrt(dim)))
+    return (side, dim // side) if side * (dim // side) == dim else (1, dim)
+
+
 @dataclass
 class Dataset:
     images: np.ndarray          # (N, D) float64 in [0, 1]
@@ -49,8 +56,7 @@ class Dataset:
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise DataFormatError("payload: label outside [0, n_classes)")
         if self.image_hw == (0, 0):
-            side = int(round(np.sqrt(self.dim)))
-            self.image_hw = (side, self.dim // side) if side * (self.dim // side) == self.dim else (1, self.dim)
+            self.image_hw = default_image_hw(self.dim)
 
     def __len__(self) -> int:
         return self.images.shape[0]

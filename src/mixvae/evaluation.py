@@ -95,11 +95,12 @@ def encode_eval_latents(dataset: Dataset, params: ModelParams, rng: RngState,
         q = infer_task_posterior(h, params)
         yhat = np.argmax(q, axis=1)
         a = np.empty((hi - lo, 2 * nz))
-        rows = max(1, _HEAD_BLOCK // params.lat_w[0].size)
+        rows = max(1, _HEAD_BLOCK // params["lat_w"][0].size)
         for start in range(0, hi - lo, rows):
             r = slice(start, start + rows)
             y = yhat[r]
-            a[r] = np.einsum("bh,boh->bo", h[r], params.lat_w[y], optimize=True) + params.lat_b[y]
+            a[r] = (np.einsum("bh,boh->bo", h[r], params["lat_w"][y], optimize=True)
+                    + params["lat_b"][y])
         mu = a[:, :nz]
         if mode == "sampled":
             sig = softplus(a[:, nz:]) + SIGMA_FLOOR

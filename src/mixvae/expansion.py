@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adam import AdamState, adam_step
-from .errors import StateError
-from .model import ModelParams, backward, encode_shared, generate, infer_task_posterior
+from .data import Batch
+from .errors import ConfigError, StateError
+from .model import ModelParams, backward, encode_shared, generate, infer_task_posterior, param_spec
+from .replay import UsageCounts
 from .rng import RngState
 
 
@@ -118,32 +120,52 @@ def posterior_mass(x: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def select_parent(buffer: PoorSampleBuffer, params: ModelParams) -> int:
-    """Component with greatest posterior mass over the buffer; ties to lowest index."""
-    if len(buffer) == 0:
-        raise StateError("cannot select a parent from an empty buffer")
+    """Component with greatest posterior mass over the buffer; ties to lowest index.
+    Raises StateError on an empty buffer."""
     return int(np.argmax(posterior_mass(buffer.as_matrix(), params)))
 
 
-def export_buffer_grid(buffer: PoorSampleBuffer, image_hw: tuple[int, int],
-                       pgm_path, matrix_path=None) -> None:
-    """Write the stored samples as an image grid for visual inspection."""
-    from .evaluation import sample_grid, save_grid_matrix, write_pgm
-    grid = sample_grid(buffer.as_matrix(), image_hw)
-    write_pgm(pgm_path, grid)
-    if matrix_path is not None:
-        save_grid_matrix(matrix_path, buffer.as_matrix())
+def add_component(params: ModelParams, adam: AdamState, usage: UsageCounts,
+                  state: ExpansionState, parent: int, step: int) -> None:
+    """Append component K+1 as an exact copy of `parent`, pad the optimizer
+    and usage rows with zeros to the new K, and log the event."""
+    params.add_component_copy(parent)
+    for name, shape, per_component in param_spec(params.arch, params.k):
+        if per_component:
+            adam.grow_rows(name, shape)
+    usage.grow(params.k)
+    state.expansion_log.append((int(step), parent, params.k))
 
 
-def expand(params: ModelParams, adam: AdamState, buffer: PoorSampleBuffer,
-           state: ExpansionState, rng: RngState, step: int,
+def expand_to_labels(params: ModelParams, adam: AdamState, usage: UsageCounts,
+                     state: ExpansionState, batch: Batch) -> None:
+    """Label-triggered expansion for supervised runs.
+
+    Components stay aligned to class labels: when label K first appears
+    it becomes component K, copied from the existing component with the
+    greatest posterior mass over the batch samples carrying that label.
+    """
+    for label in range(params.k, int(batch.labels.max()) + 1):
+        if label >= params.arch.k_max:
+            raise ConfigError(f"label {label} exceeds capacity K_max={params.arch.k_max}")
+        members = batch.x[batch.labels == label]
+        if len(members) == 0:
+            raise ConfigError(f"labels skipped value {label}; supervised runs need "
+                              "contiguous label introduction")
+        parent = int(np.argmax(posterior_mass(members, params)))
+        add_component(params, adam, usage, state, parent, batch.step)
+
+
+def expand(params: ModelParams, adam: AdamState, usage: UsageCounts,
+           buffer: PoorSampleBuffer, state: ExpansionState, rng: RngState, step: int,
            replay_prior: np.ndarray | None = None) -> int:
     """Instantiate component K+1 from the best parent and finetune to the buffer.
 
-    The new per-component buffers are exact copies of the parent's; their
-    Adam accumulators start at zero. Finetuning runs the component-
-    constrained loss on minibatches, updating all parameters with the
-    run's ongoing optimizer state. Each minibatch holds buffer samples,
-    drawn with replacement and labelled with the new component.
+    The new component's rows are exact copies of the parent's, with zero
+    optimizer and usage rows (`add_component`). Finetuning runs the
+    component-constrained loss on minibatches, updating all parameters
+    with the run's ongoing optimizer state. Each minibatch holds buffer
+    samples, drawn with replacement and labelled with the new component.
 
     With replay on, `replay_prior` is the usage prior over the K existing
     components, and the second half of each minibatch is counter-examples:
@@ -170,12 +192,9 @@ def expand(params: ModelParams, adam: AdamState, buffer: PoorSampleBuffer,
         # Drawn before the copy, so they come from the pre-expansion model.
         x_gen, y_gen = generate(params, replay_prior, n_gen * state.finetune_iters, rng)
 
-    params.add_component_copy(parent)
-    new_label = params.k - 1
-    for name in ("task_w", "task_b", "lat_w", "lat_b", "prior_mu", "prior_rho"):
-        adam.grow_rows(name, getattr(params, name).shape)
+    add_component(params, adam, usage, state, parent, step)
 
-    y = np.full(bsz, new_label, dtype=np.int64)
+    y = np.full(bsz, params.k - 1, dtype=np.int64)
     for i in range(state.finetune_iters):
         x = data[rng.integers(n, size=n_real)]
         if n_gen:
@@ -183,9 +202,8 @@ def expand(params: ModelParams, adam: AdamState, buffer: PoorSampleBuffer,
             x = np.concatenate([x, x_gen[gen]])
             y[n_real:] = y_gen[gen]
         _, grads, _ = backward(x, params, rng, y_obs=y)
-        adam_step(params.to_dict(), grads, adam)
+        adam_step(params, grads, adam)
 
     buffer.clear()
     state.steps_since_last_expansion = 0
-    state.expansion_log.append((int(step), parent, params.k))
     return parent

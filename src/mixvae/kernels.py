@@ -2,7 +2,7 @@
 
 All arrays are 64-bit floats. Matrices are 2-D row-major numpy arrays.
 Kernels are pure functions; they either guard against non-finite output
-(stable branch forms) or raise NumericError/ShapeError.
+(stable branch forms) or raise NumericError.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 
 def as_f64(x) -> np.ndarray:
@@ -22,17 +22,6 @@ def check_finite(name: str, a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericError(f"{name} contains non-finite values")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product. Raises ShapeError naming both shapes on mismatch."""
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def log_sum_exp(v: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -20,7 +20,8 @@ forward pass, so forward and backward always see the same noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -58,85 +59,64 @@ class Architecture:
             raise ValueError("encoder and decoder need at least one hidden layer")
 
 
-class ModelParams:
-    """All learnable weights plus the active component count K.
+def param_spec(arch: Architecture, k: int) -> list[tuple[str, tuple[int, ...], bool]]:
+    """Every learnable buffer as (name, shape, per_component), in checkpoint order.
 
-    Per-component buffers are stacked along axis 0 so expansion appends
-    one row per buffer. Buffer iteration order is fixed and is the
-    declared checkpoint order.
+    Dense layers are `<stack>_w.<i>` (fan_out, fan_in) and `<stack>_b.<i>`
+    for the encoder ("enc") and the decoder ("dec", whose last layer maps
+    to the input). Per-component buffers hold one row per component along
+    axis 0, so expansion appends a row to each of them.
+    """
+    h, nz = arch.encoder[-1], arch.n_z
+
+    def dense(stack, sizes):
+        return [entry for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
+                for entry in ((f"{stack}_w.{i}", (n_out, n_in), False),
+                              (f"{stack}_b.{i}", (n_out,), False))]
+    return (dense("enc", (arch.input_dim,) + arch.encoder)
+            + [("task_w", (k, h), True), ("task_b", (k,), True),
+               ("lat_w", (k, 2 * nz, h), True), ("lat_b", (k, 2 * nz), True),
+               ("prior_mu", (k, nz), True), ("prior_rho", (k, nz), True)]
+            + dense("dec", (nz,) + arch.decoder + (arch.input_dim,)))
+
+
+class ModelParams:
+    """All learnable buffers, by name in `param_spec` order, plus the active component count K.
+
+    `params[name]` is the buffer itself, so in-place updates reach the model.
     """
 
-    def __init__(self, arch: Architecture, enc_w, enc_b, task_w, task_b,
-                 lat_w, lat_b, prior_mu, prior_rho, dec_w, dec_b):
+    def __init__(self, arch: Architecture, k: int, buffers: dict[str, np.ndarray]):
         self.arch = arch
-        self.enc_w = enc_w      # list[(H_l, H_{l-1})]
-        self.enc_b = enc_b      # list[(H_l,)]
-        self.task_w = task_w    # (K, H)
-        self.task_b = task_b    # (K,)
-        self.lat_w = lat_w      # (K, 2*n_z, H)
-        self.lat_b = lat_b      # (K, 2*n_z)
-        self.prior_mu = prior_mu    # (K, n_z)
-        self.prior_rho = prior_rho  # (K, n_z)
-        self.dec_w = dec_w      # list[(G_m, G_{m-1})], last maps to input_dim
-        self.dec_b = dec_b
-        self.check_shapes()
+        self.k = k
+        self._bufs = dict(buffers)
+        self._check()
+        # (weight, bias) names of each "enc" and "dec" dense layer, input side
+        # first; the registry lists each dense weight just before its bias.
+        names = list(self._bufs)
+        self.layers = {stack: [(w, b) for w, b in zip(names, names[1:])
+                               if w.startswith(stack + "_w.")]
+                       for stack in ("enc", "dec")}
 
-    @property
-    def k(self) -> int:
-        return self.task_w.shape[0]
+    def _check(self) -> None:
+        if not 1 <= self.k <= self.arch.k_max:
+            raise ShapeError(f"K={self.k} outside [1, K_max={self.arch.k_max}]")
+        want = [(name, shape) for name, shape, _ in param_spec(self.arch, self.k)]
+        have = [(name, buf.shape) for name, buf in self._bufs.items()]
+        bad = next(((w, h) for w, h in zip_longest(want, have) if w != h), None)
+        if bad is not None:
+            raise ShapeError(f"buffer {bad[1]} where the registry declares {bad[0]}")
 
-    @property
-    def shared_dim(self) -> int:
-        return self.arch.encoder[-1]
-
-    def check_shapes(self) -> None:
-        k, nz, h = self.k, self.arch.n_z, self.shared_dim
-        if not (self.task_b.shape == (k,)
-                and self.task_w.shape == (k, h)
-                and self.lat_w.shape == (k, 2 * nz, h)
-                and self.lat_b.shape == (k, 2 * nz)
-                and self.prior_mu.shape == (k, nz)
-                and self.prior_rho.shape == (k, nz)):
-            raise ShapeError("per-component buffers disagree on K")
-        if k > self.arch.k_max:
-            raise ShapeError(f"K={k} exceeds capacity K_max={self.arch.k_max}")
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._bufs[name]
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self.enc_w, self.enc_b)):
-            out.append((f"enc_w.{i}", w))
-            out.append((f"enc_b.{i}", b))
-        out += [("task_w", self.task_w), ("task_b", self.task_b),
-                ("lat_w", self.lat_w), ("lat_b", self.lat_b),
-                ("prior_mu", self.prior_mu), ("prior_rho", self.prior_rho)]
-        for i, (w, b) in enumerate(zip(self.dec_w, self.dec_b)):
-            out.append((f"dec_w.{i}", w))
-            out.append((f"dec_b.{i}", b))
-        return out
-
-    def to_dict(self) -> dict[str, np.ndarray]:
-        return dict(self.buffers())
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        if name.startswith("enc_w."):
-            self.enc_w[int(name.split(".")[1])] = value
-        elif name.startswith("enc_b."):
-            self.enc_b[int(name.split(".")[1])] = value
-        elif name.startswith("dec_w."):
-            self.dec_w[int(name.split(".")[1])] = value
-        elif name.startswith("dec_b."):
-            self.dec_b[int(name.split(".")[1])] = value
-        else:
-            setattr(self, name, value)
+        return list(self._bufs.items())
 
     def clone(self) -> "ModelParams":
         """Independent copy; each buffer copy keeps its source's memory layout."""
-        def cp(a: np.ndarray) -> np.ndarray:
-            return a.copy(order="K")
-        return ModelParams(self.arch, [cp(w) for w in self.enc_w], [cp(b) for b in self.enc_b],
-                           cp(self.task_w), cp(self.task_b), cp(self.lat_w), cp(self.lat_b),
-                           cp(self.prior_mu), cp(self.prior_rho),
-                           [cp(w) for w in self.dec_w], [cp(b) for b in self.dec_b])
+        return ModelParams(self.arch, self.k,
+                           {name: buf.copy(order="K") for name, buf in self._bufs.items()})
 
     def add_component_copy(self, parent: int) -> None:
         """Append component K+1 as an exact copy of component `parent`."""
@@ -144,42 +124,31 @@ class ModelParams:
             raise IndexError(f"parent {parent} out of range for K={self.k}")
         if self.k + 1 > self.arch.k_max:
             raise ShapeError(f"expansion beyond capacity K_max={self.arch.k_max}")
-        self.task_w = np.concatenate([self.task_w, self.task_w[parent:parent + 1].copy()])
-        self.task_b = np.concatenate([self.task_b, self.task_b[parent:parent + 1].copy()])
-        self.lat_w = np.concatenate([self.lat_w, self.lat_w[parent:parent + 1].copy()])
-        self.lat_b = np.concatenate([self.lat_b, self.lat_b[parent:parent + 1].copy()])
-        self.prior_mu = np.concatenate([self.prior_mu, self.prior_mu[parent:parent + 1].copy()])
-        self.prior_rho = np.concatenate([self.prior_rho, self.prior_rho[parent:parent + 1].copy()])
-        self.check_shapes()
+        for name, _, per_component in param_spec(self.arch, self.k):
+            if per_component:
+                buf = self._bufs[name]
+                self._bufs[name] = np.concatenate([buf, buf[parent:parent + 1]])
+        self.k += 1
 
 
 def init_params(arch: Architecture, rng: RngState, k_init: int = 1) -> ModelParams:
-    """Glorot-uniform weights, zero biases, zero prior rows.
+    """Glorot-uniform weights (the `*_w` buffers), zero biases, zero prior rows.
 
-    Draw order is the declared buffer order, so a given seed always
-    produces the same parameters. Task and latent head rows are drawn
-    per row (fan_out = row width) so the scale does not depend on the
-    initial component count.
+    Weights are drawn in the registry's order, so a given seed always
+    produces the same parameters. Task and latent head weights are drawn
+    per component row (fan_in = shared width, fan_out = the row's output
+    count), so the scale does not depend on the initial component count.
     """
     if not (1 <= k_init <= arch.k_max):
         raise ValueError(f"k_init must be in [1, {arch.k_max}]")
-    sizes = (arch.input_dim,) + arch.encoder
-    enc_w = [glorot_uniform(rng, sizes[i], sizes[i + 1], (sizes[i + 1], sizes[i]))
-             for i in range(len(arch.encoder))]
-    enc_b = [np.zeros(s) for s in arch.encoder]
-    h = arch.encoder[-1]
-    task_w = glorot_uniform(rng, h, 1, (k_init, h))
-    task_b = np.zeros(k_init)
-    lat_w = glorot_uniform(rng, h, 2 * arch.n_z, (k_init, 2 * arch.n_z, h))
-    lat_b = np.zeros((k_init, 2 * arch.n_z))
-    prior_mu = np.zeros((k_init, arch.n_z))
-    prior_rho = np.zeros((k_init, arch.n_z))
-    dsizes = (arch.n_z,) + arch.decoder + (arch.input_dim,)
-    dec_w = [glorot_uniform(rng, dsizes[i], dsizes[i + 1], (dsizes[i + 1], dsizes[i]))
-             for i in range(len(dsizes) - 1)]
-    dec_b = [np.zeros(s) for s in dsizes[1:]]
-    return ModelParams(arch, enc_w, enc_b, task_w, task_b, lat_w, lat_b,
-                       prior_mu, prior_rho, dec_w, dec_b)
+    bufs = {}
+    for name, shape, per_component in param_spec(arch, k_init):
+        if "_w" in name:
+            row = shape[1:] if per_component else shape
+            bufs[name] = glorot_uniform(rng, row[-1], int(np.prod(row[:-1])), shape)
+        else:
+            bufs[name] = np.zeros(shape)
+    return ModelParams(arch, k_init, bufs)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +161,8 @@ def encode_shared(x: np.ndarray, params: ModelParams) -> np.ndarray:
     h = x[None, :] if single else x
     if h.shape[1] != params.arch.input_dim:
         raise ShapeError(f"input dim {h.shape[1]} != encoder input {params.arch.input_dim}")
-    for w, b in zip(params.enc_w, params.enc_b):
-        h = relu(h @ w.T + b)
+    for w, b in params.layers["enc"]:
+        h = relu(h @ params[w].T + params[b])
     return h[0] if single else h
 
 
@@ -202,7 +171,7 @@ def infer_task_posterior(h: np.ndarray, params: ModelParams) -> np.ndarray:
     h = as_f64(h)
     single = h.ndim == 1
     hh = h[None, :] if single else h
-    q = np.exp(log_softmax(hh @ params.task_w.T + params.task_b, axis=1))
+    q = np.exp(log_softmax(hh @ params["task_w"].T + params["task_b"], axis=1))
     return q[0] if single else q
 
 
@@ -211,7 +180,7 @@ def component_posterior_params(h: np.ndarray, k: int, params: ModelParams):
     if not (0 <= k < params.k):
         raise IndexError(f"component {k} out of range for K={params.k}")
     nz = params.arch.n_z
-    a = as_f64(h) @ params.lat_w[k].T + params.lat_b[k]
+    a = as_f64(h) @ params["lat_w"][k].T + params["lat_b"][k]
     mu = a[..., :nz]
     sig = softplus(a[..., nz:]) + SIGMA_FLOOR
     return mu, sig
@@ -221,7 +190,7 @@ def prior_params(k: int, params: ModelParams):
     """(mu_z(y=k), sigma_z(y=k)): row lookup into the prior table."""
     if not (0 <= k < params.k):
         raise IndexError(f"component {k} out of range for K={params.k}")
-    return params.prior_mu[k].copy(), softplus(params.prior_rho[k]) + SIGMA_FLOOR
+    return params["prior_mu"][k].copy(), softplus(params["prior_rho"][k]) + SIGMA_FLOOR
 
 
 def reparameterize(mu: np.ndarray, sigma: np.ndarray, rng: RngState) -> np.ndarray:
@@ -242,9 +211,10 @@ def decode(z: np.ndarray, params: ModelParams) -> np.ndarray:
     if z.shape[-1] != params.arch.n_z:
         raise ShapeError(f"latent dim {z.shape[-1]} != n_z {params.arch.n_z}")
     g = z.reshape(-1, params.arch.n_z)
-    for w, b in zip(params.dec_w[:-1], params.dec_b[:-1]):
-        g = relu(g @ w.T + b)
-    o = g @ params.dec_w[-1].T + params.dec_b[-1]
+    *hidden, (w_out, b_out) = params.layers["dec"]
+    for w, b in hidden:
+        g = relu(g @ params[w].T + params[b])
+    o = g @ params[w_out].T + params[b_out]
     p = np.clip(sigmoid(o), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
     return p.reshape(lead + (params.arch.input_dim,))
 
@@ -313,25 +283,46 @@ class ElboBreakdown:
 @dataclass
 class _Cache:
     x: np.ndarray
-    enc_in: list        # inputs to each encoder layer
-    enc_mask: list      # relu masks per encoder layer
+    enc: list           # (input, relu mask) per encoder layer
     h: np.ndarray
-    t_logits: np.ndarray
     ln_q: np.ndarray
     q: np.ndarray
     rho: np.ndarray
     mu: np.ndarray
     sig: np.ndarray
     eps: np.ndarray
-    z: np.ndarray
-    dec_in: list
-    dec_mask: list
+    dec: list           # (input, relu mask) per decoder hidden layer
+    g: np.ndarray       # input to the decoder output layer
     p: np.ndarray       # (B*K, D) clamped means
     p_mask: np.ndarray  # where the clamp is inactive
     psig: np.ndarray
     recon: np.ndarray
     klg: np.ndarray
-    breakdown: ElboBreakdown = field(default=None)
+    breakdown: ElboBreakdown
+
+
+def _dense_relu(h: np.ndarray, params: ModelParams, layers) -> tuple[np.ndarray, list]:
+    """ReLU MLP over the named (weight, bias) layers; returns the output and
+    each layer's (input, mask) for `_dense_relu_backward`."""
+    cache = []
+    for w, b in layers:
+        a = h @ params[w].T + params[b]
+        mask = a > 0
+        cache.append((h, mask))
+        h = np.where(mask, a, 0.0)
+    return h, cache
+
+
+def _dense_relu_backward(g: np.ndarray, params: ModelParams, layers, cache,
+                         grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Reverse of `_dense_relu`: store each layer's gradients in `grads` and
+    return the gradient with respect to the stack's input."""
+    for (w, b), (h, mask) in zip(reversed(layers), reversed(cache)):
+        g = g * mask
+        grads[w] = g.T @ h
+        grads[b] = g.sum(axis=0)
+        g = g @ params[w]
+    return g
 
 
 def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> _Cache:
@@ -340,36 +331,22 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> _Cache:
     if eps.shape != (b, k, nz):
         raise ShapeError(f"eps shape {eps.shape} != {(b, k, nz)}")
 
-    enc_in, enc_mask = [], []
-    h = x
-    for w, bia in zip(params.enc_w, params.enc_b):
-        enc_in.append(h)
-        a = h @ w.T + bia
-        mask = a > 0
-        enc_mask.append(mask)
-        h = np.where(mask, a, 0.0)
+    h, enc = _dense_relu(x, params, params.layers["enc"])
 
-    t_logits = h @ params.task_w.T + params.task_b
-    ln_q = log_softmax(t_logits, axis=1)
+    ln_q = log_softmax(h @ params["task_w"].T + params["task_b"], axis=1)
     q = np.exp(ln_q)
 
     # All K latent heads as one (B, H) x (H, K*2*n_z) matmul.
-    a = (h @ params.lat_w.reshape(k * 2 * nz, -1).T).reshape(b, k, 2 * nz) + params.lat_b[None]
+    a = ((h @ params["lat_w"].reshape(k * 2 * nz, -1).T).reshape(b, k, 2 * nz)
+         + params["lat_b"][None])
     mu = a[:, :, :nz]
     rho = a[:, :, nz:]
     sig = softplus(rho) + SIGMA_FLOOR
     z = mu + sig * eps
 
-    g = z.reshape(b * k, nz)
-    dec_in, dec_mask = [], []
-    for w, bia in zip(params.dec_w[:-1], params.dec_b[:-1]):
-        dec_in.append(g)
-        c = g @ w.T + bia
-        mask = c > 0
-        dec_mask.append(mask)
-        g = np.where(mask, c, 0.0)
-    dec_in.append(g)
-    o = g @ params.dec_w[-1].T + params.dec_b[-1]
+    *hidden, (w_out, b_out) = params.layers["dec"]
+    g, dec = _dense_relu(z.reshape(b * k, nz), params, hidden)
+    o = g @ params[w_out].T + params[b_out]
     p_raw = sigmoid(o)
     p = np.clip(p_raw, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
     p_mask = (p_raw > BERNOULLI_EPS) & (p_raw < 1.0 - BERNOULLI_EPS)
@@ -377,21 +354,16 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> _Cache:
     x_tiled = np.repeat(x[:, None, :], k, axis=1).reshape(b * k, -1)
     recon = np.sum(x_tiled * np.log(p) + (1.0 - x_tiled) * np.log1p(-p), axis=1).reshape(b, k)
 
-    psig = softplus(params.prior_rho) + SIGMA_FLOOR
+    psig = softplus(params["prior_rho"]) + SIGMA_FLOOR
     var_ratio = (sig / psig[None]) ** 2
-    delta = (mu - params.prior_mu[None]) / psig[None]
+    delta = (mu - params["prior_mu"][None]) / psig[None]
     klg = np.sum(np.log(psig[None] / sig) + 0.5 * (var_ratio + delta * delta) - 0.5, axis=2)
 
     cat_kl = np.sum(q * (ln_q + np.log(k)), axis=1)
     total = np.sum(q * (recon - klg), axis=1) - cat_kl
     breakdown = ElboBreakdown(q, recon, klg, cat_kl, total)
-    return _Cache(x, enc_in, enc_mask, h, t_logits, ln_q, q, rho, mu, sig, eps, z,
-                  dec_in, dec_mask, p, p_mask, psig, recon, klg, breakdown)
-
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = as_f64(x)
-    return (x[None, :], True) if x.ndim == 1 else (x, False)
+    return _Cache(x, enc, h, ln_q, q, rho, mu, sig, eps, dec, g, p, p_mask, psig, recon, klg,
+                  breakdown)
 
 
 def draw_eps(params: ModelParams, batch: int, rng: RngState) -> np.ndarray:
@@ -399,15 +371,37 @@ def draw_eps(params: ModelParams, batch: int, rng: RngState) -> np.ndarray:
     return rng.normal((batch, params.k, params.arch.n_z))
 
 
+def _run_forward(x, params: ModelParams, rng: RngState, eps, y_obs=None):
+    """Checked cached forward pass; a single sample runs as a batch of one.
+
+    Returns (cache, labels as an int array or None, whether x was a single sample).
+    """
+    x = as_f64(x)
+    single = x.ndim == 1
+    xb = x[None, :] if single else x
+    if xb.shape[1] != params.arch.input_dim:
+        raise ShapeError(f"input dim {xb.shape[1]} != {params.arch.input_dim}")
+    y = None
+    if y_obs is not None:
+        y = np.asarray(y_obs, dtype=np.int64).reshape(-1)
+        if np.any(y < 0) or np.any(y >= params.k):
+            raise IndexError(f"y_obs out of range for K={params.k}")
+        if y.shape[0] != xb.shape[0]:
+            raise ShapeError(f"batch {xb.shape[0]} != labels {y.shape[0]}")
+    if eps is None:
+        eps = draw_eps(params, xb.shape[0], rng)
+    return _forward(params, xb, eps), y, single
+
+
+def _constrained(cache: _Cache, y: np.ndarray) -> np.ndarray:
+    rows = np.arange(len(y))
+    return cache.recon[rows, y] - cache.klg[rows, y] + cache.ln_q[rows, y]
+
+
 def elbo(x: np.ndarray, params: ModelParams, rng: RngState,
          eps: np.ndarray | None = None) -> ElboBreakdown:
     """Monte Carlo objective: one z sample per component, exact sum over y."""
-    xb, single = _as_batch(x)
-    if xb.shape[1] != params.arch.input_dim:
-        raise ShapeError(f"input dim {xb.shape[1]} != {params.arch.input_dim}")
-    if eps is None:
-        eps = draw_eps(params, xb.shape[0], rng)
-    cache = _forward(params, xb, eps)
+    cache, _, single = _run_forward(x, params, rng, eps)
     return cache.breakdown.squeezed() if single else cache.breakdown
 
 
@@ -417,22 +411,9 @@ def supervised_elbo(x: np.ndarray, y_obs, params: ModelParams, rng: RngState,
 
     log p(x|z_y) - KL[q(z|x,y) || p(z|y)] + ln q(y|x), evaluated at y_obs.
     """
-    xb, single = _as_batch(x)
-    y = np.atleast_1d(np.asarray(y_obs, dtype=np.int64))
-    if np.any(y < 0) or np.any(y >= params.k):
-        raise IndexError(f"y_obs out of range for K={params.k}")
-    if y.shape[0] != xb.shape[0]:
-        raise ShapeError(f"batch {xb.shape[0]} != labels {y.shape[0]}")
-    if eps is None:
-        eps = draw_eps(params, xb.shape[0], rng)
-    cache = _forward(params, xb, eps)
-    rows = np.arange(xb.shape[0])
-    vals = (cache.recon[rows, y] - cache.klg[rows, y] + cache.ln_q[rows, y])
+    cache, y, single = _run_forward(x, params, rng, eps, y_obs)
+    vals = _constrained(cache, y)
     return float(vals[0]) if single else vals
-
-
-def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(buf) for name, buf in params.buffers()}
 
 
 def _backward(params: ModelParams, cache: _Cache,
@@ -441,7 +422,7 @@ def _backward(params: ModelParams, cache: _Cache,
     arch = params.arch
     b, k, nz = cache.x.shape[0], params.k, arch.n_z
     scale = -1.0 / b
-    grads = _zero_grads(params)
+    grads: dict[str, np.ndarray] = {}
 
     if y_obs is None:
         loss = float(-np.mean(cache.breakdown.total))
@@ -451,39 +432,31 @@ def _backward(params: ModelParams, cache: _Cache,
         g_q = scale * (r - (cache.ln_q + np.log(k)) - 1.0)
         g_t = cache.q * (g_q - np.sum(cache.q * g_q, axis=1, keepdims=True))
     else:
-        rows = np.arange(b)
-        vals = cache.recon[rows, y_obs] - cache.klg[rows, y_obs] + cache.ln_q[rows, y_obs]
-        loss = float(-np.mean(vals))
+        loss = float(-np.mean(_constrained(cache, y_obs)))
         onehot = np.zeros((b, k))
-        onehot[rows, y_obs] = 1.0
+        onehot[np.arange(b), y_obs] = 1.0
         g_r = scale * onehot
         g_t = scale * (onehot - cache.q)
 
     # Task head.
-    grads["task_w"] += g_t.T @ cache.h
-    grads["task_b"] += g_t.sum(axis=0)
-    g_h = g_t @ params.task_w
+    grads["task_w"] = g_t.T @ cache.h
+    grads["task_b"] = g_t.sum(axis=0)
+    g_h = g_t @ params["task_w"]
 
     # Reconstruction branch through the decoder.
-    g_recon = g_r
-    coeff = g_recon.reshape(b * k, 1)
+    coeff = g_r.reshape(b * k, 1)
     x_tiled = np.repeat(cache.x[:, None, :], k, axis=1).reshape(b * k, -1)
     g_o = coeff * (x_tiled - cache.p) * cache.p_mask
-    g = g_o
-    grads[f"dec_w.{len(params.dec_w) - 1}"] += g.T @ cache.dec_in[-1]
-    grads[f"dec_b.{len(params.dec_b) - 1}"] += g.sum(axis=0)
-    g = g @ params.dec_w[-1]
-    for m in range(len(params.dec_w) - 2, -1, -1):
-        g = g * cache.dec_mask[m]
-        grads[f"dec_w.{m}"] += g.T @ cache.dec_in[m]
-        grads[f"dec_b.{m}"] += g.sum(axis=0)
-        g = g @ params.dec_w[m]
-    g_z = g.reshape(b, k, nz)
+    *hidden, (w_out, b_out) = params.layers["dec"]
+    grads[w_out] = g_o.T @ cache.g
+    grads[b_out] = g_o.sum(axis=0)
+    g_z = _dense_relu_backward(g_o @ params[w_out], params, hidden, cache.dec,
+                               grads).reshape(b, k, nz)
 
     # Gaussian KL branch.
     g_klg = -g_r
     psig = cache.psig[None]
-    pmu = params.prior_mu[None]
+    pmu = params["prior_mu"][None]
     inv_p2 = 1.0 / (psig * psig)
     g_mu = g_klg[:, :, None] * (cache.mu - pmu) * inv_p2
     g_sig = g_klg[:, :, None] * (cache.sig * inv_p2 - 1.0 / cache.sig)
@@ -500,22 +473,27 @@ def _backward(params: ModelParams, cache: _Cache,
     # Latent heads: first half mean, second half softplus pre-variance.
     g_a = np.concatenate([g_mu, g_sig * sigmoid(cache.rho)], axis=2)
     g_a_flat = g_a.reshape(b, k * 2 * nz)
-    grads["lat_w"] += (g_a_flat.T @ cache.h).reshape(params.lat_w.shape)
-    grads["lat_b"] += g_a.sum(axis=0)
-    g_h = g_h + g_a_flat @ params.lat_w.reshape(k * 2 * nz, -1)
+    lat_w = params["lat_w"]
+    grads["lat_w"] = (g_a_flat.T @ cache.h).reshape(lat_w.shape)
+    grads["lat_b"] = g_a.sum(axis=0)
+    g_h = g_h + g_a_flat @ lat_w.reshape(k * 2 * nz, -1)
 
     # Prior table.
-    grads["prior_mu"] += g_pmu
-    grads["prior_rho"] += g_psig * sigmoid(params.prior_rho)
+    grads["prior_mu"] = g_pmu
+    grads["prior_rho"] = g_psig * sigmoid(params["prior_rho"])
 
     # Shared encoder.
-    for l in range(len(params.enc_w) - 1, -1, -1):
-        g_h = g_h * cache.enc_mask[l]
-        grads[f"enc_w.{l}"] += g_h.T @ cache.enc_in[l]
-        grads[f"enc_b.{l}"] += g_h.sum(axis=0)
-        g_h = g_h @ params.enc_w[l]
+    _dense_relu_backward(g_h, params, params.layers["enc"], cache.enc, grads)
 
-    return loss, grads
+    return loss, {name: grads[name] for name, _ in params.buffers()}
+
+
+def relu_margin(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> float:
+    """Smallest |input| of any encoder or decoder ReLU unit at inputs x and noise eps."""
+    cache = _forward(params, as_f64(x), eps)
+    layers = params.layers["enc"] + params.layers["dec"][:-1]
+    return min(float(np.min(np.abs(h @ params[w].T + params[b])))
+               for (w, b), (h, _) in zip(layers, cache.enc + cache.dec))
 
 
 def backward(x: np.ndarray, params: ModelParams, rng: RngState,
@@ -527,15 +505,7 @@ def backward(x: np.ndarray, params: ModelParams, rng: RngState,
     breakdown always carries the marginalized per-sample quantities so
     callers can reuse them for screening and usage counts.
     """
-    xb, _ = _as_batch(x)
-    if eps is None:
-        eps = draw_eps(params, xb.shape[0], rng)
-    cache = _forward(params, xb, eps)
-    y = None
-    if y_obs is not None:
-        y = np.asarray(y_obs, dtype=np.int64).reshape(-1)
-        if np.any(y < 0) or np.any(y >= params.k):
-            raise IndexError(f"y_obs out of range for K={params.k}")
+    cache, y, _ = _run_forward(x, params, rng, eps, y_obs)
     loss, grads = _backward(params, cache, y)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")
@@ -555,6 +525,6 @@ def generate(params: ModelParams, pi: np.ndarray, n: int, rng: RngState):
         raise ValueError("pi must be a normalized probability vector")
     y = rng.categorical(pi, n)
     eps = rng.normal((n, params.arch.n_z))
-    psig = softplus(params.prior_rho) + SIGMA_FLOOR
-    z = params.prior_mu[y] + psig[y] * eps
+    psig = softplus(params["prior_rho"]) + SIGMA_FLOOR
+    z = params["prior_mu"][y] + psig[y] * eps
     return decode(z, params), y

@@ -91,11 +91,6 @@ class SnapshotPolicy:
         return self.mode == "fixed" and (step + 1) % self.period == 0
 
 
-def update_usage(counts: UsageCounts, q_batch: np.ndarray) -> UsageCounts:
-    counts.update(q_batch)
-    return counts
-
-
 def take_snapshot(params: ModelParams, counts: UsageCounts, step: int) -> Snapshot:
     return Snapshot(params, counts, step)
 

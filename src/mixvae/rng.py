@@ -57,10 +57,6 @@ class RngState:
         """Draw `size` indices from the probability vector `p`."""
         return self.gen.choice(len(p), size=size, p=p)
 
-    def fork(self, *key: int) -> "RngState":
-        """Derive an independent sub-stream by appending to the key."""
-        return RngState(self.seed, self.key + tuple(key))
-
 
 def substream(seed: int, *key: int) -> RngState:
     """Shorthand for RngState(seed, key)."""

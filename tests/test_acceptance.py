@@ -117,8 +117,8 @@ def test_criterion_3_parent_selection_oracle():
         tie_case = i % 10 == 0
         params = tiny_params(seed=7000 + i, k=int(rng.integers(3) + 1))
         if tie_case:
-            params.task_w[:] = 0.0
-            params.task_b[:] = 0.0
+            params["task_w"][:] = 0.0
+            params["task_b"][:] = 0.0
             n_tied += 1
         n = int(rng.integers(31) + 2)
         buf = PoorSampleBuffer(capacity=n, threshold=0.0, max_age=100)
@@ -156,7 +156,7 @@ def test_criterion_4_replay_freeze_and_prior():
     train_rng = RngState(8003, (7,))
     for _ in range(1000):
         _, grads, _ = backward(train_rng.uniform(0.02, 0.98, (8, 6)), params, train_rng)
-        adam_step(params.to_dict(), grads, adam)
+        adam_step(params, grads, adam)
 
     x_after, y_after = generate(snapshot.params, snapshot.prior(), 256, RngState(8002, (6,)))
     assert np.array_equal(x_before, x_after)

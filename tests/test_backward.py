@@ -55,7 +55,7 @@ def test_task_bias_shift_leaves_other_gradients():
     eps = draw_eps(params, 4, RngState(3, (25,)))
     _, g1, _ = backward(x, params, None, eps=eps)
     shifted = params.clone()
-    shifted.task_b += 11.0
+    shifted["task_b"][:] += 11.0
     _, g2, _ = backward(x, shifted, None, eps=eps)
     for name in g1:
         if name == "task_b":

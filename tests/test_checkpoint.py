@@ -20,7 +20,7 @@ def trained_state(seed=0, steps=5):
     for _ in range(steps):
         x = rng.uniform(0.05, 0.95, (4, 6))
         _, grads, bd = backward(x, params, rng)
-        adam_step(params.to_dict(), grads, adam)
+        adam_step(params, grads, adam)
         usage.update(bd.task_posterior)
     return params, adam, usage
 
@@ -81,9 +81,9 @@ def test_training_continues_identically_after_reload(tmp_path):
     x = random_inputs(4, 6, seed=9)
     eps = RngState(2, (42,)).normal((4, params.k, 2))
     _, g1, _ = backward(x, params, None, eps=eps)
-    adam_step(params.to_dict(), g1, adam)
+    adam_step(params, g1, adam)
     _, g2, _ = backward(x, loaded.params, None, eps=eps)
-    adam_step(loaded.params.to_dict(), g2, loaded.adam)
+    adam_step(loaded.params, g2, loaded.adam)
     for (name, a), (_, b) in zip(params.buffers(), loaded.params.buffers()):
         assert np.array_equal(a, b), name
 
@@ -146,3 +146,44 @@ def test_wrong_rng_algorithm(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="algorithm"):
         load_checkpoint(path)
+
+
+# Offsets of the u32 model-dimension fields in the header of a tiny_params
+# checkpoint (encoder (5, 4), decoder (4, 5)), with the values written there.
+HEADER_FIELDS = {"K": (80, 3), "K_max": (84, 4), "n_z": (88, 2), "D": (92, 6),
+                 "n_enc": (96, 2), "encoder width": (100, 5), "n_dec": (108, 2),
+                 "decoder width": (112, 4)}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("K", 0), ("K", 5), ("K_max", 0), ("n_z", 0), ("D", 0), ("n_enc", 0),
+    ("encoder width", 0), ("n_dec", 0), ("decoder width", 0)])
+def test_bad_model_dims_rejected(tmp_path, field, value):
+    params, adam, usage = trained_state()
+    path = tmp_path / "dims.ckpt"
+    save_checkpoint(path, params, adam, usage)
+    blob = bytearray(path.read_bytes())
+    offset, written = HEADER_FIELDS[field]
+    assert struct.unpack_from("<I", blob, offset) == (written,)
+    struct.pack_into("<I", blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    params, adam, usage = trained_state()
+    path = tmp_path / "long.ckpt"
+    save_checkpoint(path, params, adam, usage)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="bytes after"):
+        load_checkpoint(path)
+
+
+def test_save_rejects_accumulators_of_another_shape(tmp_path):
+    # a component added without growing the optimizer rows to match
+    params, adam, usage = trained_state()
+    params.add_component_copy(0)
+    usage.grow(params.k)
+    with pytest.raises(CheckpointError, match="task_w"):
+        save_checkpoint(tmp_path / "stale.ckpt", params, adam, usage)

@@ -4,7 +4,6 @@ from mixvae.config import (
     ExperimentConfig,
     apply_overrides,
     load_preset,
-    normalize_config_text,
     parse_config,
     preset_names,
     serialize_config,
@@ -21,13 +20,13 @@ SPEC_PRESETS = [
 
 def test_defaults_serialize_and_round_trip():
     text = serialize_config(ExperimentConfig())
-    assert normalize_config_text(text) == text
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_parse_round_trip_idempotent():
     text = "seed = 7\nstream.mode = iid\narch.encoder = 64,32\n"
-    normalized = normalize_config_text(text)
-    assert normalize_config_text(normalized) == normalized
+    normalized = serialize_config(parse_config(text))
+    assert serialize_config(parse_config(normalized)) == normalized
     cfg = parse_config(normalized)
     assert cfg.seed == 7
     assert cfg.stream.mode == "iid"
@@ -121,4 +120,4 @@ def test_all_presets_round_trip():
     for name in preset_names():
         cfg = load_preset(name)
         text = serialize_config(cfg)
-        assert normalize_config_text(text) == text, name
+        assert serialize_config(parse_config(text)) == text, name

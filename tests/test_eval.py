@@ -224,8 +224,8 @@ class TestEncodeEvalLatents:
     def test_floor_sigma_sampled_close_to_mean(self):
         ds = self.make_ds()
         params = self.params16()
-        params.lat_w[:, 3:, :] = 0.0
-        params.lat_b[:, 3:] = -40.0  # softplus(-40) ~ 4e-18: sigma pinned at the floor
+        params["lat_w"][:, 3:, :] = 0.0
+        params["lat_b"][:, 3:] = -40.0  # softplus(-40) ~ 4e-18: sigma pinned at the floor
         zs, _ = encode_eval_latents(ds, params, RngState(10, (100,)), "sampled")
         zm, _ = encode_eval_latents(ds, params, RngState(10, (100,)), "mean")
         assert np.all(np.abs(zs - zm) < SIGMA_FLOOR * 4)
@@ -282,13 +282,13 @@ class TestIncremental:
         from mixvae.model import Architecture, init_params
         arch = Architecture(input_dim=dim, encoder=(dim,), n_z=2, decoder=(4,), k_max=n_classes)
         params = init_params(arch, RngState(23, (114,)), k_init=n_classes)
-        params.enc_w[0][:] = np.eye(dim)
-        params.enc_b[0][:] = 0.0
+        params["enc_w.0"][:] = np.eye(dim)
+        params["enc_b.0"][:] = 0.0
         block = dim // n_classes
-        params.task_w[:] = 0.0
+        params["task_w"][:] = 0.0
         for c in range(n_classes):
-            params.task_w[c, c * block:(c + 1) * block] = 25.0
-        params.task_b[:] = 0.0
+            params["task_w"][c, c * block:(c + 1) * block] = 25.0
+        params["task_b"][:] = 0.0
         return params
 
     def test_perfect_posterior_both_one(self):
@@ -307,14 +307,14 @@ class TestIncremental:
         ds = Dataset(np.vstack([eye] * 10), np.tile(np.arange(4), 10), n_classes=4)
         arch = Architecture(input_dim=4, encoder=(4,), n_z=2, decoder=(4,), k_max=4)
         params = init_params(arch, RngState(25, (116,)), k_init=4)
-        params.enc_w[0][:] = np.eye(4)
-        params.enc_b[0][:] = 0.0
-        params.task_b[:] = 0.0
+        params["enc_w.0"][:] = np.eye(4)
+        params["enc_b.0"][:] = 0.0
+        params["task_b"][:] = 0.0
         w = np.zeros((4, 4))
         for c, partner_block in ((0, (2, 3)), (1, (2, 3)), (2, (0, 1)), (3, (0, 1))):
             w[c, c] = 5.0
             w[c, list(partner_block)] = 20.0
-        params.task_w[:] = w
+        params["task_w"][:] = w
         pairs = ((0, 1), (2, 3))
         assert incremental_task_accuracy(params, ds, pairs) == 1.0
         assert incremental_class_accuracy(params, ds) == 0.0
@@ -333,9 +333,9 @@ class TestIncremental:
         ds = Dataset(np.array([[0.1] * 16, [0.9] * 16, [0.2] * 16, [0.8] * 16]),
                      np.array([0, 1, 1, 0]), n_classes=2)
         params = self.one_hot_params(n_classes=2)
-        params.task_w[:] = 0.0
-        params.task_w[0, 0] = -30.0
-        params.task_w[1, 0] = 30.0
+        params["task_w"][:] = 0.0
+        params["task_w"][0, 0] = -30.0
+        params["task_w"][1, 0] = 30.0
         preds = [0 if x[0] < 0.5 else 1 for x in ds.images]
         expected = np.mean([p == t for p, t in zip(preds, ds.labels)])
         assert incremental_class_accuracy(params, ds) == pytest.approx(expected)

@@ -13,7 +13,8 @@ from mixvae.expansion import (
     select_parent,
     should_expand,
 )
-from mixvae.model import backward, encode_shared, infer_task_posterior, supervised_elbo
+from mixvae.model import backward, encode_shared, infer_task_posterior, param_spec, supervised_elbo
+from mixvae.replay import UsageCounts
 from mixvae.rng import RngState
 
 
@@ -129,8 +130,8 @@ class TestSelectParent:
 
     def test_tie_goes_to_lowest_index(self):
         params = tiny_params(k=3)
-        params.task_w[:] = 0.0
-        params.task_b[:] = 0.0  # exactly uniform posterior
+        params["task_w"][:] = 0.0
+        params["task_b"][:] = 0.0  # exactly uniform posterior
         buf = PoorSampleBuffer(capacity=4, threshold=0.0, max_age=100)
         screen_batch(random_inputs(4, 6), np.full(4, -1.0), buf, step=0)
         assert select_parent(buf, params) == 0
@@ -138,8 +139,8 @@ class TestSelectParent:
     def test_known_mass_split(self):
         # input-independent posterior [0.64, 0.36] -> sums 3.2 vs 1.8 over 5 samples
         params = tiny_params(k=2)
-        params.task_w[:] = 0.0
-        params.task_b[:] = np.log([0.64, 0.36])
+        params["task_w"][:] = 0.0
+        params["task_b"][:] = np.log([0.64, 0.36])
         buf = PoorSampleBuffer(capacity=5, threshold=0.0, max_age=100)
         screen_batch(random_inputs(5, 6), np.full(5, -1.0), buf, step=0)
         mass = posterior_mass(buf.as_matrix(), params)
@@ -158,7 +159,7 @@ class TestExpand:
         # warm the optimizer so accumulator growth is exercised
         x = random_inputs(4, 6, seed=seed + 300)
         _, grads, _ = backward(x, params, RngState(seed, (52,)))
-        adam_step(params.to_dict(), grads, adam)
+        adam_step(params, grads, adam)
         buf = PoorSampleBuffer(capacity=16, threshold=0.0, max_age=100)
         screen_batch(random_inputs(16, 6, seed=seed + 400), np.full(16, -1.0), buf, step=0)
         state = ExpansionState(consolidation_period=10, finetune_iters=20, finetune_batch=8)
@@ -171,18 +172,20 @@ class TestExpand:
         probe = params.clone()
         probe.add_component_copy(parent)
         for name in ("task_w", "task_b", "lat_w", "lat_b", "prior_mu", "prior_rho"):
-            buf_arr = getattr(probe, name)
+            buf_arr = probe[name]
             assert np.array_equal(buf_arr[parent], buf_arr[-1]), name
 
     def test_k_increments_and_state_resets(self):
         params, adam, buf, state = self.setup_ready()
         k_before = params.k
-        expand(params, adam, buf, state, RngState(0, (53,)), step=123)
+        usage = UsageCounts(params.k)
+        expand(params, adam, usage, buf, state, RngState(0, (53,)), step=123)
         assert params.k == k_before + 1
+        assert usage.accumulated.shape == (params.k,)
         assert len(buf) == 0
         assert state.steps_since_last_expansion == 0
         assert state.expansion_log == [(123, state.expansion_log[0][1], params.k)]
-        assert adam.m["task_w"].shape == params.task_w.shape
+        assert adam.m["task_w"].shape == params["task_w"].shape
 
     def test_finetune_improves_constrained_objective_on_buffer(self):
         params, adam, buf, state = self.setup_ready(seed=2)
@@ -195,7 +198,7 @@ class TestExpand:
         eps = eps_rng.normal((len(data), probe.k, 2))
         before = float(np.mean(supervised_elbo(data, np.full(len(data), new_label),
                                                probe, None, eps=eps)))
-        expand(params, adam, buf, state, RngState(0, (55,)), step=0)
+        expand(params, adam, UsageCounts(params.k), buf, state, RngState(0, (55,)), step=0)
         after = float(np.mean(supervised_elbo(data, np.full(len(data), new_label),
                                               params, None, eps=eps)))
         assert after >= before
@@ -217,7 +220,7 @@ class TestExpand:
         rows = {tuple(r) for r in buf.as_matrix()}
         calls = self.record_finetune(monkeypatch)
         monkeypatch.setattr(expansion, "generate", None)  # must not be called
-        expand(params, adam, buf, state, RngState(0, (59,)), step=0)
+        expand(params, adam, UsageCounts(params.k), buf, state, RngState(0, (59,)), step=0)
         assert len(calls) == state.finetune_iters
         for x, y, k in calls:
             assert len(x) == state.finetune_batch
@@ -232,7 +235,8 @@ class TestExpand:
         rows = {tuple(r) for r in buf.as_matrix()}
         calls = self.record_finetune(monkeypatch)
         prior = np.array([0.0, 0.25, 0.75])
-        expand(params, adam, buf, state, RngState(0, (60,)), step=0, replay_prior=prior)
+        expand(params, adam, UsageCounts(params.k), buf, state, RngState(0, (60,)), step=0,
+               replay_prior=prior)
         half = state.finetune_batch // 2
         gen_labels = []
         for x, y, k in calls:
@@ -261,8 +265,8 @@ class TestExpand:
             state = ExpansionState(consolidation_period=0, finetune_iters=50, finetune_batch=16)
             x_own, _ = generate(params, np.array([1.0]), 200, RngState(1, (63,)))
             x_buf = buf.as_matrix()
-            expand(params, AdamState(lr=1e-2), buf, state, RngState(2, (64,)), step=0,
-                   replay_prior=replay_prior)
+            expand(params, AdamState(lr=1e-2), UsageCounts(1), buf, state, RngState(2, (64,)),
+                   step=0, replay_prior=replay_prior)
             key = replay_prior is not None
             q_parent[key] = infer_task_posterior(encode_shared(x_own, params), params)[:, 0].mean()
             q_new[key] = infer_task_posterior(encode_shared(x_buf, params), params)[:, 1].mean()
@@ -273,14 +277,15 @@ class TestExpand:
         params, adam, buf, state = self.setup_ready()
         state.steps_since_last_expansion = 0
         with pytest.raises(StateError):
-            expand(params, adam, buf, state, RngState(0, (56,)), step=0)
+            expand(params, adam, UsageCounts(params.k), buf, state, RngState(0, (56,)), step=0)
 
     def test_structural_invariants_after_expansions(self):
         params, adam, buf, state = self.setup_ready()
-        expand(params, adam, buf, state, RngState(1, (57,)), step=1)
+        expand(params, adam, UsageCounts(params.k), buf, state, RngState(1, (57,)), step=1)
         screen_batch(random_inputs(16, 6, seed=500), np.full(16, -1.0), buf, step=0)
         state.steps_since_last_expansion = 10
-        expand(params, adam, buf, state, RngState(2, (58,)), step=2)
-        params.check_shapes()
+        expand(params, adam, UsageCounts(params.k), buf, state, RngState(2, (58,)), step=2)
+        assert [(name, buf.shape) for name, buf in params.buffers()] == [
+            (name, shape) for name, shape, _ in param_spec(params.arch, params.k)]
         assert params.k == 4
         assert len(state.expansion_log) == 2

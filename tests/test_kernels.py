@@ -3,30 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mixvae.errors import NumericError, ShapeError
+from mixvae.errors import NumericError
 from mixvae.kernels import (
     finite_difference_grad,
     log_sum_exp,
-    matmul,
     sigmoid,
     softmax,
     softplus,
 )
 from mixvae.rng import RngState
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        assert np.array_equal(out, np.array([[17.0], [39.0]]))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestLogSumExp:

@@ -9,6 +9,7 @@ from mixvae.kernels import softmax, softplus
 from mixvae.model import (
     BERNOULLI_EPS,
     SIGMA_FLOOR,
+    ModelParams,
     bernoulli_log_likelihood,
     categorical_kl,
     component_posterior_params,
@@ -19,6 +20,7 @@ from mixvae.model import (
     gaussian_kl,
     infer_task_posterior,
     init_params,
+    param_spec,
     prior_params,
     reparameterize,
     supervised_elbo,
@@ -29,8 +31,8 @@ from mixvae.rng import RngState
 class TestEncodeShared:
     def test_zero_weights_zero_input(self):
         params = tiny_params(spread_biases=False)
-        for w in params.enc_w:
-            w[:] = 0.0
+        for w, _ in params.layers["enc"]:
+            params[w][:] = 0.0
         assert np.array_equal(encode_shared(np.zeros(6), params), np.zeros(4))
 
     def test_deterministic(self):
@@ -42,8 +44,8 @@ class TestEncodeShared:
         from mixvae.model import Architecture, ModelParams
         arch = Architecture(input_dim=3, encoder=(3,), n_z=2, decoder=(4,), k_max=2)
         params = init_params(arch, RngState(0, (1,)), k_init=1)
-        params.enc_w[0][:] = np.eye(3)
-        params.enc_b[0][:] = 0.0
+        params["enc_w.0"][:] = np.eye(3)
+        params["enc_b.0"][:] = 0.0
         x = np.array([0.5, 0.0, 0.9])
         assert np.allclose(encode_shared(x, params), np.maximum(x, 0.0))
 
@@ -60,8 +62,8 @@ class TestTaskPosterior:
 
     def test_equal_logits_uniform(self):
         params = tiny_params(k=4, k_max=4)
-        params.task_w[:] = 0.0
-        params.task_b[:] = 2.5
+        params["task_w"][:] = 0.0
+        params["task_b"][:] = 2.5
         h = encode_shared(random_inputs(1, 6)[0], params)
         assert np.allclose(infer_task_posterior(h, params), 0.25, atol=1e-12)
 
@@ -74,7 +76,7 @@ class TestTaskPosterior:
         k_star = 1
         params.add_component_copy(k_star)
         q_after = infer_task_posterior(h, params)
-        logits = h @ params.task_w.T + params.task_b
+        logits = h @ params["task_w"].T + params["task_b"]
         assert np.allclose(q_after, softmax(logits), atol=1e-12)
         expected_split = q_before[k_star] / (1.0 + q_before[k_star])
         assert q_after[k_star] == pytest.approx(expected_split, abs=1e-12)
@@ -86,8 +88,8 @@ class TestTaskPosterior:
 class TestPosteriorAndPriorParams:
     def test_zero_head_gives_softplus_zero(self):
         params = tiny_params(spread_biases=False)
-        params.lat_w[:] = 0.0
-        params.lat_b[:] = 0.0
+        params["lat_w"][:] = 0.0
+        params["lat_b"][:] = 0.0
         h = encode_shared(random_inputs(1, 6)[0], params)
         mu, sig = component_posterior_params(h, 0, params)
         assert np.allclose(mu, 0.0)
@@ -118,8 +120,8 @@ class TestPosteriorAndPriorParams:
     def test_prior_rows_copied_on_expansion(self):
         params = tiny_params(k=2)
         params.add_component_copy(1)
-        assert np.array_equal(params.prior_mu[1], params.prior_mu[2])
-        assert np.array_equal(params.prior_rho[1], params.prior_rho[2])
+        assert np.array_equal(params["prior_mu"][1], params["prior_mu"][2])
+        assert np.array_equal(params["prior_rho"][1], params["prior_rho"][2])
 
     def test_row_lookup_matches_onehot_linear_layer(self):
         # oracle: explicit one-hot times table formulation
@@ -127,8 +129,8 @@ class TestPosteriorAndPriorParams:
         for k in range(3):
             onehot = np.zeros(3)
             onehot[k] = 1.0
-            mu_oracle = onehot @ params.prior_mu
-            sig_oracle = softplus(onehot @ params.prior_rho) + SIGMA_FLOOR
+            mu_oracle = onehot @ params["prior_mu"]
+            sig_oracle = softplus(onehot @ params["prior_rho"]) + SIGMA_FLOOR
             mu, sig = prior_params(k, params)
             assert np.allclose(mu, mu_oracle, atol=1e-15)
             assert np.allclose(sig, sig_oracle, atol=1e-15)
@@ -143,8 +145,60 @@ class TestClone:
             assert np.array_equal(a, b) and a.strides == b.strides, name
             b += 1.0
             assert not np.array_equal(a, b), name
-        twin.enc_w[0] = np.zeros_like(twin.enc_w[0])
-        assert np.any(params.enc_w[0] != 0)
+        twin["enc_w.0"][:] = 0.0
+        assert np.any(params["enc_w.0"] != 0)
+
+
+def _rename(bufs, old, new):
+    return {new if name == old else name: buf for name, buf in bufs.items()}
+
+
+def _swap(bufs, a, b):
+    names = list(bufs)
+    i, j = names.index(a), names.index(b)
+    names[i], names[j] = names[j], names[i]
+    return {name: bufs[name] for name in names}
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("mutate", [
+        lambda b: _rename(b, "enc_w.1", "enc_w.7"),
+        lambda b: _rename(b, "dec_b.2", "out_b"),
+        lambda b: _swap(b, "dec_w.1", "dec_b.1"),
+        lambda b: _swap(b, "enc_w.0", "enc_w.1"),
+        lambda b: _swap(b, "task_w", "lat_w"),
+        lambda b: {n: v for n, v in b.items() if n != "dec_b.2"},
+        lambda b: dict(b, extra=np.zeros(3)),
+        lambda b: dict(b, **{"enc_w.1": np.zeros((5, 4))}),
+        lambda b: dict(b, **{"dec_b.0": np.zeros(5)}),
+        lambda b: dict(b, task_w=b["task_w"][:2]),
+        lambda b: dict(b, prior_rho=np.zeros((3, 3))),
+    ])
+    def test_buffers_must_match_the_spec(self, mutate):
+        params = tiny_params()
+        bufs = dict(params.buffers())
+        ModelParams(params.arch, params.k, bufs)
+        with pytest.raises(ShapeError):
+            ModelParams(params.arch, params.k, mutate(bufs))
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_outside_capacity(self, k):
+        params = tiny_params()
+        bufs = {name: np.zeros(shape) for name, shape, _ in param_spec(params.arch, k)}
+        with pytest.raises(ShapeError):
+            ModelParams(params.arch, k, bufs)
+
+    def test_add_component_appends_exactly_the_per_component_rows(self):
+        params = tiny_params(k=2)
+        before = {name: buf.copy() for name, buf in params.buffers()}
+        params.add_component_copy(1)
+        assert params.k == 3
+        for name, _, per_component in param_spec(params.arch, params.k):
+            if per_component:
+                expected = np.concatenate([before[name], before[name][1:2]])
+            else:
+                expected = before[name]
+            assert np.array_equal(params[name], expected), name
 
 
 class TestReparameterize:
@@ -178,9 +232,9 @@ class TestReparameterize:
 class TestDecode:
     def test_zero_weights_give_half(self):
         params = tiny_params(spread_biases=False)
-        for w, b in zip(params.dec_w, params.dec_b):
-            w[:] = 0.0
-            b[:] = 0.0
+        for w, b in params.layers["dec"]:
+            params[w][:] = 0.0
+            params[b][:] = 0.0
         out = decode(np.zeros(2), params)
         assert np.allclose(out, 0.5)
 
@@ -282,8 +336,8 @@ class TestElbo:
 
     def test_uniform_posterior_zero_cat_kl(self):
         params = tiny_params(k=3)
-        params.task_w[:] = 0.0
-        params.task_b[:] = 1.0
+        params["task_w"][:] = 0.0
+        params["task_b"][:] = 1.0
         x = random_inputs(1, 6)[0]
         bd = elbo(x, params, RngState(1, (12,)))
         assert bd.cat_kl == pytest.approx(0.0, abs=1e-12)
@@ -310,7 +364,7 @@ class TestElbo:
         eps = draw_eps(params, 4, RngState(4, (15,)))
         bd = elbo(x, params, None, eps=eps)
         shifted = params.clone()
-        shifted.task_b += 7.3
+        shifted["task_b"][:] += 7.3
         bd2 = elbo(x, shifted, None, eps=eps)
         assert np.allclose(bd.task_posterior, bd2.task_posterior, atol=1e-9)
         assert np.allclose(bd.total, bd2.total, atol=1e-9)
@@ -330,7 +384,7 @@ class TestSupervisedElbo:
         # supervised = marginal total + ln K
         params = tiny_params(k=3)
         y_obs = 2
-        params.task_b[y_obs] += 500.0
+        params["task_b"][y_obs] += 500.0
         x = random_inputs(1, 6)[0]
         eps = RngState(6, (17,)).normal((1, 3, 2))
         bd = elbo(x, params, None, eps=eps)
@@ -346,7 +400,7 @@ class TestSupervisedElbo:
         eps = draw_eps(params, 2, RngState(7, (18,)))
         q_before = infer_task_posterior(encode_shared(x, params), params)[:, 1]
         _, grads, _ = backward(x, params, None, y_obs=y, eps=eps)
-        adam_step(params.to_dict(), grads, AdamState(lr=1e-3))
+        adam_step(params, grads, AdamState(lr=1e-3))
         q_after = infer_task_posterior(encode_shared(x, params), params)[:, 1]
         assert np.all(q_after > q_before)
 

@@ -58,7 +58,7 @@ class TestSnapshot:
         rng = RngState(4, (62,))
         for _ in range(50):
             _, grads, _ = backward(rng.uniform(0.05, 0.95, (8, 6)), params, rng)
-            adam_step(params.to_dict(), grads, adam)
+            adam_step(params, grads, adam)
         x_after, y_after = generate(snap.params, snap.prior(), 32, RngState(3, (61,)))
         assert np.array_equal(x_before, x_after)
         assert np.array_equal(y_before, y_after)

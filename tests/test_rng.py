@@ -31,13 +31,6 @@ def test_per_step_keying_is_order_free():
     assert np.array_equal(direct, again)
 
 
-def test_fork_extends_key():
-    root = RngState(3, (2,))
-    child = root.fork(9)
-    assert child.key == (2, 9)
-    assert child.seed == 3
-
-
 def test_categorical_respects_probabilities():
     rng = RngState(11, (4,))
     draws = rng.categorical(np.array([0.7, 0.3]), 20000)

@@ -5,8 +5,10 @@ import pytest
 
 from mixvae.checkpoint import load_checkpoint
 from mixvae.config import apply_overrides, load_preset
+from mixvae.data import next_batch
+from mixvae.errors import ConfigError
 from mixvae.model import elbo
-from mixvae.rng import RngState, STREAM_EVAL, substream
+from mixvae.rng import RngState, STREAM_EVAL, STREAM_SHUFFLE, substream
 from mixvae.train import (
     METRICS_HEADER,
     build_datasets,
@@ -162,6 +164,40 @@ class TestSupervisedTraining:
         assert task > 0.9
 
 
+class TestLabelTriggeredExpansion:
+    def cfg(self, tmp_path, steps=800, cadence=400, *extra):
+        return apply_overrides(load_preset("toy-blobs-mgr-dyn"), [
+            "mode=supervised", "stream.mode=split_task", "replay.mode=smgr",
+            f"stream.total_steps={steps}", f"eval.cadence={cadence}",
+            f"out_dir={tmp_path}/run", *extra])
+
+    def test_component_k_created_where_label_k_first_appears(self, tmp_path):
+        cfg = self.cfg(tmp_path)
+        train, _valid, _test = build_datasets(cfg)
+        spec = build_stream_spec(cfg, train)
+        first_step = {}
+        for step in range(spec.total_steps):
+            batch = next_batch(spec, train, step, substream(cfg.seed, STREAM_SHUFFLE, step))
+            for label in np.unique(batch.labels):
+                first_step.setdefault(int(label), step)
+        result = run_train(cfg)
+        assert cfg.arch.k_init == 1 and result.params.k == 4
+        assert [(s, k) for s, _, k in result.expansion_log] == [
+            (first_step[label], label + 1) for label in (1, 2, 3)]
+        for name, buf in result.params.buffers():
+            assert result.adam.m[name].shape == buf.shape, name
+            assert result.adam.v[name].shape == buf.shape, name
+        assert result.usage.accumulated.shape == (4,)
+
+    @pytest.mark.parametrize("extra, match", [
+        (("stream.task_pairs=0:2,1:3",), "skipped value 1"),
+        (("arch.k_max=2",), "exceeds capacity"),
+    ])
+    def test_skipped_label_or_capacity_raises(self, tmp_path, extra, match):
+        with pytest.raises(ConfigError, match=match):
+            run_train(self.cfg(tmp_path, 4, 2, *extra))
+
+
 class TestRunEval:
     def test_eval_matches_before_and_after_save(self, tmp_path):
         cfg = toy_cfg(tmp_path)
@@ -186,6 +222,12 @@ class TestGradcheckRunner:
         assert passed
         assert set(worst) == {"marginal", "constrained"}
         assert all(e < 1e-4 for path in worst.values() for e in path.values())
+
+    def test_config_next_to_a_relu_kink_is_redrawn(self):
+        # seed 305's first config puts a ReLU input 6.8e-6 from zero, inside
+        # the +-1e-5 step; kept, it failed with max error 3.5e-4
+        _, passed = run_gradcheck(seed=305, n_configs=2, verbose=False)
+        assert passed
 
     def test_corrupted_buffer_fails_with_name(self):
         worst, passed = run_gradcheck(seed=0, n_configs=1, corrupt_buffer="lat_w",
