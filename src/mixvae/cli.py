@@ -74,7 +74,6 @@ def main(argv=None) -> int:
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--configs", type=int, default=5)
-    p_grad.add_argument("--corrupt", help="test hook: perturb this gradient buffer")
 
     p_lat = sub.add_parser("export-latents", help="write latent CSV for a checkpoint")
     _add_config_args(p_lat)
@@ -119,8 +118,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "gradcheck":
-        _, passed = run_gradcheck(seed=args.seed, n_configs=args.configs,
-                                  corrupt_buffer=args.corrupt)
+        _, passed = run_gradcheck(seed=args.seed, n_configs=args.configs)
         return 0 if passed else 1
 
     if args.command == "export-samples":

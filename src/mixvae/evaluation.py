@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import check_finite, softplus
-from .model import SIGMA_FLOOR, ModelParams, encode_shared, infer_task_posterior
+from .kernels import check_finite
+from .model import ModelParams, component_posterior_params, encode_shared, infer_task_posterior
 from .rng import RngState
 
 KNN_KS = (3, 5, 10)
 _ENCODE_CHUNK = 2048
-# Latent-head weight entries gathered at once, rows x 2*n_z x H (8 MB of float64).
-_HEAD_BLOCK = 2 ** 20
 # Test x train squared-distance entries per k-NN block (8 MB of float64).
 _KNN_BLOCK = 2 ** 20
 
@@ -81,7 +79,9 @@ def encode_eval_latents(dataset: Dataset, params: ModelParams, rng: RngState,
     """Latents and argmax components for every point in the dataset.
 
     sampled mode draws one z ~ q(z | x, y_hat) from the given rng; mean
-    mode returns the posterior mean of the argmax component.
+    mode returns the posterior mean of the argmax component. Each chunk's
+    rows are grouped by argmax component, and each group's heads come from
+    `component_posterior_params`.
     """
     if mode not in ("sampled", "mean"):
         raise ValueError(f"unknown latent mode {mode!r}")
@@ -92,18 +92,12 @@ def encode_eval_latents(dataset: Dataset, params: ModelParams, rng: RngState,
     for lo in range(0, x.shape[0], _ENCODE_CHUNK):
         hi = min(lo + _ENCODE_CHUNK, x.shape[0])
         h = encode_shared(x[lo:hi], params)
-        q = infer_task_posterior(h, params)
-        yhat = np.argmax(q, axis=1)
-        a = np.empty((hi - lo, 2 * nz))
-        rows = max(1, _HEAD_BLOCK // params["lat_w"][0].size)
-        for start in range(0, hi - lo, rows):
-            r = slice(start, start + rows)
-            y = yhat[r]
-            a[r] = (np.einsum("bh,boh->bo", h[r], params["lat_w"][y], optimize=True)
-                    + params["lat_b"][y])
-        mu = a[:, :nz]
+        yhat = np.argmax(infer_task_posterior(h, params), axis=1)
+        mu, sig = np.empty((hi - lo, nz)), np.empty((hi - lo, nz))
+        for k in np.unique(yhat):
+            rows = yhat == k
+            mu[rows], sig[rows] = component_posterior_params(h[rows], int(k), params)
         if mode == "sampled":
-            sig = softplus(a[:, nz:]) + SIGMA_FLOOR
             latents[lo:hi] = mu + sig * rng.normal(mu.shape)
         else:
             latents[lo:hi] = mu

@@ -95,16 +95,11 @@ def screen_batch(x: np.ndarray, elbo_totals: np.ndarray, buffer: PoorSampleBuffe
     if x.shape[0] != totals.shape[0]:
         raise ValueError(f"batch size {x.shape[0]} != elbo count {totals.shape[0]}")
     buffer.expire(step)
-    added = 0
-    for i in range(x.shape[0]):
-        if buffer.full:
-            break
-        if totals[i] < buffer.threshold:
-            buffer.samples.append(x[i].copy())
-            buffer.elbos.append(float(totals[i]))
-            buffer.steps.append(int(step))
-            added += 1
-    return added
+    rows = np.flatnonzero(totals < buffer.threshold)[:buffer.capacity - len(buffer)]
+    buffer.samples.extend(x[rows])
+    buffer.elbos.extend(totals[rows].tolist())
+    buffer.steps.extend([int(step)] * len(rows))
+    return len(rows)
 
 
 def should_expand(buffer: PoorSampleBuffer, state: ExpansionState, params: ModelParams) -> bool:

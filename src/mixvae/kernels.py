@@ -64,12 +64,8 @@ def softplus(x) -> np.ndarray:
 def sigmoid(x) -> np.ndarray:
     """Logistic function, overflow-safe on both tails."""
     x = as_f64(x)
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def relu(x) -> np.ndarray:

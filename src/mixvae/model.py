@@ -286,18 +286,15 @@ class _Cache:
     enc: list           # (input, relu mask) per encoder layer
     h: np.ndarray
     ln_q: np.ndarray
-    q: np.ndarray
     rho: np.ndarray
     mu: np.ndarray
     sig: np.ndarray
     eps: np.ndarray
     dec: list           # (input, relu mask) per decoder hidden layer
     g: np.ndarray       # input to the decoder output layer
-    p: np.ndarray       # (B*K, D) clamped means
+    p: np.ndarray       # (B, K, D) clamped means
     p_mask: np.ndarray  # where the clamp is inactive
     psig: np.ndarray
-    recon: np.ndarray
-    klg: np.ndarray
     breakdown: ElboBreakdown
 
 
@@ -316,12 +313,14 @@ def _dense_relu(h: np.ndarray, params: ModelParams, layers) -> tuple[np.ndarray,
 def _dense_relu_backward(g: np.ndarray, params: ModelParams, layers, cache,
                          grads: dict[str, np.ndarray]) -> np.ndarray:
     """Reverse of `_dense_relu`: store each layer's gradients in `grads` and
-    return the gradient with respect to the stack's input."""
-    for (w, b), (h, mask) in zip(reversed(layers), reversed(cache)):
+    return the gradient with respect to the first layer's pre-activation."""
+    for i in reversed(range(len(layers))):
+        (w, b), (h, mask) = layers[i], cache[i]
         g = g * mask
         grads[w] = g.T @ h
         grads[b] = g.sum(axis=0)
-        g = g @ params[w]
+        if i:
+            g = g @ params[w]
     return g
 
 
@@ -347,12 +346,12 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> _Cache:
     *hidden, (w_out, b_out) = params.layers["dec"]
     g, dec = _dense_relu(z.reshape(b * k, nz), params, hidden)
     o = g @ params[w_out].T + params[b_out]
-    p_raw = sigmoid(o)
+    p_raw = sigmoid(o).reshape(b, k, -1)
     p = np.clip(p_raw, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
     p_mask = (p_raw > BERNOULLI_EPS) & (p_raw < 1.0 - BERNOULLI_EPS)
 
-    x_tiled = np.repeat(x[:, None, :], k, axis=1).reshape(b * k, -1)
-    recon = np.sum(x_tiled * np.log(p) + (1.0 - x_tiled) * np.log1p(-p), axis=1).reshape(b, k)
+    xb = x[:, None, :]
+    recon = np.sum(xb * np.log(p) + (1.0 - xb) * np.log1p(-p), axis=2)
 
     psig = softplus(params["prior_rho"]) + SIGMA_FLOOR
     var_ratio = (sig / psig[None]) ** 2
@@ -362,8 +361,7 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> _Cache:
     cat_kl = np.sum(q * (ln_q + np.log(k)), axis=1)
     total = np.sum(q * (recon - klg), axis=1) - cat_kl
     breakdown = ElboBreakdown(q, recon, klg, cat_kl, total)
-    return _Cache(x, enc, h, ln_q, q, rho, mu, sig, eps, dec, g, p, p_mask, psig, recon, klg,
-                  breakdown)
+    return _Cache(x, enc, h, ln_q, rho, mu, sig, eps, dec, g, p, p_mask, psig, breakdown)
 
 
 def draw_eps(params: ModelParams, batch: int, rng: RngState) -> np.ndarray:
@@ -394,8 +392,9 @@ def _run_forward(x, params: ModelParams, rng: RngState, eps, y_obs=None):
 
 
 def _constrained(cache: _Cache, y: np.ndarray) -> np.ndarray:
-    rows = np.arange(len(y))
-    return cache.recon[rows, y] - cache.klg[rows, y] + cache.ln_q[rows, y]
+    rows, bd = np.arange(len(y)), cache.breakdown
+    return (bd.recon_per_component[rows, y] - bd.gauss_kl_per_component[rows, y]
+            + cache.ln_q[rows, y])
 
 
 def elbo(x: np.ndarray, params: ModelParams, rng: RngState,
@@ -423,20 +422,22 @@ def _backward(params: ModelParams, cache: _Cache,
     b, k, nz = cache.x.shape[0], params.k, arch.n_z
     scale = -1.0 / b
     grads: dict[str, np.ndarray] = {}
+    bd = cache.breakdown
+    q = bd.task_posterior
 
     if y_obs is None:
-        loss = float(-np.mean(cache.breakdown.total))
+        loss = float(-np.mean(bd.total))
         # d total / d r_k = q_k ; d total / d q_k = r_k - ln(q_k K) - 1
-        g_r = scale * cache.q
-        r = cache.recon - cache.klg
+        g_r = scale * q
+        r = bd.recon_per_component - bd.gauss_kl_per_component
         g_q = scale * (r - (cache.ln_q + np.log(k)) - 1.0)
-        g_t = cache.q * (g_q - np.sum(cache.q * g_q, axis=1, keepdims=True))
+        g_t = q * (g_q - np.sum(q * g_q, axis=1, keepdims=True))
     else:
         loss = float(-np.mean(_constrained(cache, y_obs)))
         onehot = np.zeros((b, k))
         onehot[np.arange(b), y_obs] = 1.0
         g_r = scale * onehot
-        g_t = scale * (onehot - cache.q)
+        g_t = scale * (onehot - q)
 
     # Task head.
     grads["task_w"] = g_t.T @ cache.h
@@ -444,14 +445,12 @@ def _backward(params: ModelParams, cache: _Cache,
     g_h = g_t @ params["task_w"]
 
     # Reconstruction branch through the decoder.
-    coeff = g_r.reshape(b * k, 1)
-    x_tiled = np.repeat(cache.x[:, None, :], k, axis=1).reshape(b * k, -1)
-    g_o = coeff * (x_tiled - cache.p) * cache.p_mask
+    g_o = (g_r[:, :, None] * (cache.x[:, None, :] - cache.p) * cache.p_mask).reshape(b * k, -1)
     *hidden, (w_out, b_out) = params.layers["dec"]
     grads[w_out] = g_o.T @ cache.g
     grads[b_out] = g_o.sum(axis=0)
-    g_z = _dense_relu_backward(g_o @ params[w_out], params, hidden, cache.dec,
-                               grads).reshape(b, k, nz)
+    g_a0 = _dense_relu_backward(g_o @ params[w_out], params, hidden, cache.dec, grads)
+    g_z = (g_a0 @ params[hidden[0][0]]).reshape(b, k, nz)
 
     # Gaussian KL branch.
     g_klg = -g_r

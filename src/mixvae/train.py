@@ -319,15 +319,12 @@ def grad_rel_errors(params: ModelParams, grads: dict[str, np.ndarray],
     return out
 
 
-def run_gradcheck(seed: int = 0, n_configs: int = 5, h: float = 1e-5,
-                  corrupt_buffer: str | None = None, verbose: bool = True):
+def run_gradcheck(seed: int = 0, n_configs: int = 5, h: float = 1e-5, verbose: bool = True):
     """Randomized tiny-net gradient checks for both loss paths.
 
     A config with a ReLU input within GRADCHECK_KINK_MARGIN * h of zero is
     redrawn from the same sub-stream, so every config is smooth across
-    each +-h step. Returns (per-buffer max relative error by path, passed). The
-    corrupt_buffer hook perturbs one analytic gradient buffer so the
-    failure path itself is testable.
+    each +-h step. Returns (per-buffer max relative error by path, passed).
     """
     arch = Architecture(input_dim=6, encoder=(5, 4), n_z=2, decoder=(4, 5), k_max=4)
     worst = {"marginal": {}, "constrained": {}}
@@ -345,8 +342,6 @@ def run_gradcheck(seed: int = 0, n_configs: int = 5, h: float = 1e-5,
                 break
         for path, y_obs in (("marginal", None), ("constrained", y)):
             _, grads, _ = backward(x, params, None, y_obs=y_obs, eps=eps)
-            if corrupt_buffer is not None:
-                grads[corrupt_buffer] = grads[corrupt_buffer] + 1e-2
 
             def loss(p):
                 return backward(x, p, None, y_obs=y_obs, eps=eps)[0]

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from mixvae import train
 from mixvae.model import Architecture, backward, elbo, init_params, supervised_elbo
 from mixvae.rng import RngState
 from mixvae.train import grad_rel_errors
@@ -50,6 +51,18 @@ def tiny_params(seed=0, k=3, d=6, n_z=2, k_max=4, spread_biases=True):
 @pytest.fixture
 def rng():
     return RngState(123, (99,))
+
+
+@pytest.fixture
+def corrupt_lat_w(monkeypatch):
+    """The gradcheck runner sees `lat_w` gradients off by 1e-2, so its failure path runs."""
+    real = train.backward
+
+    def backward_off(*args, **kwargs):
+        loss, grads, bd = real(*args, **kwargs)
+        grads["lat_w"] = grads["lat_w"] + 1e-2
+        return loss, grads, bd
+    monkeypatch.setattr(train, "backward", backward_off)
 
 
 def random_inputs(n, d, seed=5):

@@ -49,9 +49,13 @@ def test_train_eval_export_round_trip(tmp_path, capsys):
     assert np.all((samples > 0) & (samples < 1))
 
 
-def test_gradcheck_cli():
+def test_gradcheck_cli(monkeypatch, capsys, corrupt_lat_w):
+    assert main(["gradcheck", "--configs", "1"]) == 1
+    failed = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+              if line.endswith("FAIL") and "overall" not in line]
+    assert failed == ["lat_w", "lat_w"]  # marginal and constrained paths
+    monkeypatch.undo()
     assert main(["gradcheck", "--configs", "1"]) == 0
-    assert main(["gradcheck", "--configs", "1", "--corrupt", "task_w"]) == 1
 
 
 def test_seed_and_set_overrides(tmp_path):

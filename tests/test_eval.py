@@ -22,7 +22,12 @@ from mixvae.evaluation import (
     write_pgm,
 )
 from mixvae.errors import NumericError
-from mixvae.model import SIGMA_FLOOR
+from mixvae.model import (
+    SIGMA_FLOOR,
+    component_posterior_params,
+    encode_shared,
+    infer_task_posterior,
+)
 from mixvae.rng import RngState
 
 
@@ -210,16 +215,25 @@ class TestEncodeEvalLatents:
         assert np.array_equal(z1, z2)
 
     @pytest.mark.parametrize("mode", ["mean", "sampled"])
-    @pytest.mark.parametrize("block", [1, 72, 252])  # 1, 2 and 7 rows of 36 head entries
-    def test_head_gather_blocks_change_no_bits(self, mode, block, monkeypatch):
-        ds = self.make_ds()
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_grouped_heads_match_per_row_reference(self, mode, chunk, monkeypatch):
+        ds = self.make_ds(n=80)
         params = self.params16()
-        z_full, c_full = encode_eval_latents(ds, params, RngState(11, (94,)), mode)
-        monkeypatch.setattr(evaluation, "_HEAD_BLOCK", block)
+        h = encode_shared(ds.images, params)
+        comps = np.argmax(infer_task_posterior(h, params), axis=1)
+        assert len(np.unique(comps[:64])) >= 3  # one 64-row chunk holds three groups
+        rng = RngState(11, (94,))
+        ref = np.empty((len(ds), 3))
+        for lo in range(0, len(ds), chunk):
+            hi = min(lo + chunk, len(ds))
+            noise = rng.normal((hi - lo, 3))  # one draw per chunk, in row order
+            for i in range(lo, hi):
+                mu, sig = component_posterior_params(h[i], int(comps[i]), params)
+                ref[i] = mu + sig * noise[i - lo] if mode == "sampled" else mu
+        monkeypatch.setattr(evaluation, "_ENCODE_CHUNK", chunk)
         z, c = encode_eval_latents(ds, params, RngState(11, (94,)), mode)
-        assert len(np.unique(c_full)) > 1  # the blocks gather more than one component's head
-        assert np.array_equal(z, z_full)
-        assert np.array_equal(c, c_full)
+        assert np.array_equal(c, comps)
+        assert np.allclose(z, ref, rtol=1e-12, atol=1e-12)
 
     def test_floor_sigma_sampled_close_to_mean(self):
         ds = self.make_ds()

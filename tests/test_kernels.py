@@ -88,6 +88,27 @@ class TestSigmoid:
         assert np.all(np.isfinite(out))
         assert out[1] == 0.5
 
+    @staticmethod
+    def masked_two_branch(x):
+        """Reference: the boolean-indexed two-branch logistic."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_same_bits_as_masked_two_branch(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0]
+        x = np.concatenate([RngState(3, (41,)).uniform(-30.0, 30.0, 2000), edges])
+        with np.errstate(over="ignore", under="ignore"):
+            want = self.masked_two_branch(x)
+        got = sigmoid(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, 1.0]))[0])
+
 
 class TestFiniteDifferences:
     def test_quadratic(self):

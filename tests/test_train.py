@@ -229,9 +229,8 @@ class TestGradcheckRunner:
         _, passed = run_gradcheck(seed=305, n_configs=2, verbose=False)
         assert passed
 
-    def test_corrupted_buffer_fails_with_name(self):
-        worst, passed = run_gradcheck(seed=0, n_configs=1, corrupt_buffer="lat_w",
-                                      verbose=False)
+    def test_corrupted_buffer_fails_with_name(self, corrupt_lat_w):
+        worst, passed = run_gradcheck(seed=0, n_configs=1, verbose=False)
         assert not passed
         assert worst["marginal"]["lat_w"] > 1e-4
         ok = [n for n in worst["marginal"] if n != "lat_w"]
