@@ -190,13 +190,26 @@ def evaluate(params: ModelParams, test_dataset: Dataset, train_dataset: Dataset,
     Cluster accuracy, confusion, and per-class accuracy use the full
     test set. The k-NN fit uses a seeded subsample of the training set
     (and optionally of the test set) to bound cost; latents for both
-    sides are produced in the same mode from the given rng.
+    sides are produced in the same mode from the given rng. When the k-NN
+    test side is the whole test set, its encoding also gives the argmax
+    components, so the test set is encoded once.
     """
     if len(test_dataset) == 0:
         raise ValueError("empty test set")
     c = max(test_dataset.n_classes, train_dataset.n_classes)
-    q = task_posteriors(test_dataset.images, params)
-    assignments = np.argmax(q, axis=1)
+
+    n_sub = min(knn_train_subsample, len(train_dataset))
+    sub_idx = rng.permutation(len(train_dataset))[:n_sub]
+    train_sub = train_dataset.subset(sub_idx)
+    knn_test = test_dataset
+    if knn_test_subsample and knn_test_subsample < len(test_dataset):
+        knn_test = test_dataset.subset(rng.permutation(len(test_dataset))[:knn_test_subsample])
+    train_z, _ = encode_eval_latents(train_sub, params, rng, latent_mode)
+    test_z, assignments = encode_eval_latents(knn_test, params, rng, latent_mode)
+    if knn_test is not test_dataset:
+        assignments = np.argmax(task_posteriors(test_dataset.images, params), axis=1)
+    usable = tuple(k for k in ks if k <= n_sub)
+    knn = knn_errors(train_z, train_sub.labels, test_z, knn_test.labels, usable) if usable else {}
 
     confusion = np.zeros((c, params.k), dtype=np.int64)
     np.add.at(confusion, (test_dataset.labels, assignments), 1)
@@ -207,17 +220,6 @@ def evaluate(params: ModelParams, test_dataset: Dataset, train_dataset: Dataset,
     for cls in range(c):
         members = assignments[test_dataset.labels == cls]
         per_class[cls] = float(np.mean(mapping[members] == cls)) if len(members) else 0.0
-
-    n_sub = min(knn_train_subsample, len(train_dataset))
-    sub_idx = rng.permutation(len(train_dataset))[:n_sub]
-    train_sub = train_dataset.subset(sub_idx)
-    knn_test = test_dataset
-    if knn_test_subsample and knn_test_subsample < len(test_dataset):
-        knn_test = test_dataset.subset(rng.permutation(len(test_dataset))[:knn_test_subsample])
-    train_z, _ = encode_eval_latents(train_sub, params, rng, latent_mode)
-    test_z, _ = encode_eval_latents(knn_test, params, rng, latent_mode)
-    usable = tuple(k for k in ks if k <= n_sub)
-    knn = knn_errors(train_z, train_sub.labels, test_z, knn_test.labels, usable) if usable else {}
 
     return EvalReport(step=step, cluster_accuracy=acc, knn_error=knn,
                       n_active_components=params.k, confusion=confusion,

@@ -14,6 +14,13 @@ components and draws one reparameterized z sample per component:
     total = sum_k q(y=k|x) * (log p(x|z_k) - KL[q(z|x,k) || p(z|k)])
             - KL[q(y|x) || uniform]
 
+so it decodes B*K rows per batch of B. The component-constrained
+objective for observed labels y,
+
+    log p(x|z_y) - KL[q(z|x,y) || p(z|y)] + ln q(y|x),
+
+reads one component per sample and decodes only those B rows.
+
 Gradients are computed by hand-written reverse mode over the cached
 forward pass, so forward and backward always see the same noise.
 """
@@ -261,13 +268,15 @@ class ElboBreakdown:
     """Per-sample decomposition of the marginalized objective.
 
     Fields are batched: task_posterior (B,K), recon_per_component (B,K),
-    gauss_kl_per_component (B,K), cat_kl (B,), total (B,).
+    gauss_kl_per_component (B,K), cat_kl (B,), total (B,). A forward pass
+    under the constrained loss decodes one component per sample, so its
+    breakdown holds only task_posterior and cat_kl; the other fields are None.
     """
     task_posterior: np.ndarray
-    recon_per_component: np.ndarray
-    gauss_kl_per_component: np.ndarray
+    recon_per_component: np.ndarray | None
+    gauss_kl_per_component: np.ndarray | None
     cat_kl: np.ndarray
-    total: np.ndarray
+    total: np.ndarray | None
 
     def recompose(self) -> np.ndarray:
         w = self.task_posterior
@@ -292,9 +301,10 @@ class _Cache:
     eps: np.ndarray
     dec: list           # (input, relu mask) per decoder hidden layer
     g: np.ndarray       # input to the decoder output layer
-    p: np.ndarray       # (B, K, D) clamped means
+    p: np.ndarray       # (B, K, D) clamped means, (B, 1, D) under the constrained loss
     p_mask: np.ndarray  # where the clamp is inactive
     psig: np.ndarray
+    value: np.ndarray   # (B,) per-sample objective whose negative mean is the loss
     breakdown: ElboBreakdown
 
 
@@ -324,7 +334,10 @@ def _dense_relu_backward(g: np.ndarray, params: ModelParams, layers, cache,
     return g
 
 
-def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> _Cache:
+def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
+             y: np.ndarray | None = None) -> _Cache:
+    """Cached forward pass of the marginalized objective, or of the
+    component-constrained one at labels y."""
     arch = params.arch
     b, k, nz = x.shape[0], params.k, arch.n_z
     if eps.shape != (b, k, nz):
@@ -343,10 +356,13 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> _Cache:
     sig = softplus(rho) + SIGMA_FLOOR
     z = mu + sig * eps
 
+    # Decode every (sample, component) row, or only row (i, y_i) per sample.
+    rows = np.arange(b)
+    z_dec = z.reshape(b * k, nz) if y is None else z[rows, y]
     *hidden, (w_out, b_out) = params.layers["dec"]
-    g, dec = _dense_relu(z.reshape(b * k, nz), params, hidden)
+    g, dec = _dense_relu(z_dec, params, hidden)
     o = g @ params[w_out].T + params[b_out]
-    p_raw = sigmoid(o).reshape(b, k, -1)
+    p_raw = sigmoid(o).reshape(b, -1, arch.input_dim)
     p = np.clip(p_raw, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
     p_mask = (p_raw > BERNOULLI_EPS) & (p_raw < 1.0 - BERNOULLI_EPS)
 
@@ -359,9 +375,14 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> _Cache:
     klg = np.sum(np.log(psig[None] / sig) + 0.5 * (var_ratio + delta * delta) - 0.5, axis=2)
 
     cat_kl = np.sum(q * (ln_q + np.log(k)), axis=1)
-    total = np.sum(q * (recon - klg), axis=1) - cat_kl
-    breakdown = ElboBreakdown(q, recon, klg, cat_kl, total)
-    return _Cache(x, enc, h, ln_q, rho, mu, sig, eps, dec, g, p, p_mask, psig, breakdown)
+    if y is None:
+        value = np.sum(q * (recon - klg), axis=1) - cat_kl
+        breakdown = ElboBreakdown(q, recon, klg, cat_kl, value)
+    else:
+        value = recon[:, 0] - klg[rows, y] + ln_q[rows, y]
+        breakdown = ElboBreakdown(q, None, None, cat_kl, None)
+    return _Cache(x, enc, h, ln_q, rho, mu, sig, eps, dec, g, p, p_mask, psig, value,
+                  breakdown)
 
 
 def draw_eps(params: ModelParams, batch: int, rng: RngState) -> np.ndarray:
@@ -388,13 +409,7 @@ def _run_forward(x, params: ModelParams, rng: RngState, eps, y_obs=None):
             raise ShapeError(f"batch {xb.shape[0]} != labels {y.shape[0]}")
     if eps is None:
         eps = draw_eps(params, xb.shape[0], rng)
-    return _forward(params, xb, eps), y, single
-
-
-def _constrained(cache: _Cache, y: np.ndarray) -> np.ndarray:
-    rows, bd = np.arange(len(y)), cache.breakdown
-    return (bd.recon_per_component[rows, y] - bd.gauss_kl_per_component[rows, y]
-            + cache.ln_q[rows, y])
+    return _forward(params, xb, eps, y), y, single
 
 
 def elbo(x: np.ndarray, params: ModelParams, rng: RngState,
@@ -410,9 +425,8 @@ def supervised_elbo(x: np.ndarray, y_obs, params: ModelParams, rng: RngState,
 
     log p(x|z_y) - KL[q(z|x,y) || p(z|y)] + ln q(y|x), evaluated at y_obs.
     """
-    cache, y, single = _run_forward(x, params, rng, eps, y_obs)
-    vals = _constrained(cache, y)
-    return float(vals[0]) if single else vals
+    cache, _, single = _run_forward(x, params, rng, eps, y_obs)
+    return float(cache.value[0]) if single else cache.value
 
 
 def _backward(params: ModelParams, cache: _Cache,
@@ -424,33 +438,41 @@ def _backward(params: ModelParams, cache: _Cache,
     grads: dict[str, np.ndarray] = {}
     bd = cache.breakdown
     q = bd.task_posterior
+    rows = np.arange(b)
+    loss = float(-np.mean(cache.value))
 
     if y_obs is None:
-        loss = float(-np.mean(bd.total))
         # d total / d r_k = q_k ; d total / d q_k = r_k - ln(q_k K) - 1
         g_r = scale * q
         r = bd.recon_per_component - bd.gauss_kl_per_component
         g_q = scale * (r - (cache.ln_q + np.log(k)) - 1.0)
         g_t = q * (g_q - np.sum(q * g_q, axis=1, keepdims=True))
+        g_r_dec = g_r
     else:
-        loss = float(-np.mean(_constrained(cache, y_obs)))
         onehot = np.zeros((b, k))
-        onehot[np.arange(b), y_obs] = 1.0
+        onehot[rows, y_obs] = 1.0
         g_r = scale * onehot
         g_t = scale * (onehot - q)
+        g_r_dec = g_r[rows, y_obs][:, None]
 
     # Task head.
     grads["task_w"] = g_t.T @ cache.h
     grads["task_b"] = g_t.sum(axis=0)
     g_h = g_t @ params["task_w"]
 
-    # Reconstruction branch through the decoder.
-    g_o = (g_r[:, :, None] * (cache.x[:, None, :] - cache.p) * cache.p_mask).reshape(b * k, -1)
+    # Reconstruction branch through the decoder, over the rows it decoded.
+    g_o = (g_r_dec[:, :, None] * (cache.x[:, None, :] - cache.p)
+           * cache.p_mask).reshape(-1, arch.input_dim)
     *hidden, (w_out, b_out) = params.layers["dec"]
     grads[w_out] = g_o.T @ cache.g
     grads[b_out] = g_o.sum(axis=0)
     g_a0 = _dense_relu_backward(g_o @ params[w_out], params, hidden, cache.dec, grads)
-    g_z = (g_a0 @ params[hidden[0][0]]).reshape(b, k, nz)
+    g_z_dec = g_a0 @ params[hidden[0][0]]
+    if y_obs is None:
+        g_z = g_z_dec.reshape(b, k, nz)
+    else:
+        g_z = np.zeros((b, k, nz))
+        g_z[rows, y_obs] = g_z_dec
 
     # Gaussian KL branch.
     g_klg = -g_r
@@ -500,9 +522,12 @@ def backward(x: np.ndarray, params: ModelParams, rng: RngState,
     """Loss and gradients of the negative batch-mean objective.
 
     y_obs None selects the marginalized loss; an int array selects the
-    component-constrained loss. Returns (loss, grads, breakdown); the
-    breakdown always carries the marginalized per-sample quantities so
-    callers can reuse them for screening and usage counts.
+    component-constrained loss, which decodes only row (i, y_i) of each
+    sample. Returns (loss, grads, breakdown). Under the marginalized loss
+    the breakdown carries every per-sample quantity of `elbo`; under the
+    constrained loss only task_posterior and cat_kl, and the fields that
+    need the other components' decodes are None (call `elbo` with the
+    same eps for those).
     """
     cache, y, _ = _run_forward(x, params, rng, eps, y_obs)
     loss, grads = _backward(params, cache, y)

@@ -43,7 +43,7 @@ from .expansion import (
     should_expand,
 )
 from .kernels import finite_difference_grad
-from .model import Architecture, ModelParams, backward, init_params, relu_margin
+from .model import Architecture, ModelParams, backward, draw_eps, elbo, init_params, relu_margin
 from .replay import Snapshot, SnapshotPolicy, UsageCounts, replay_step, take_snapshot
 from .rng import (
     STREAM_DATASET,
@@ -192,10 +192,16 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
                 expand_to_labels(params, adam, usage, exp_state, batch)
                 y_obs = batch.labels
 
+        eval_step = (step + 1) % cfg.eval.cadence == 0 or step == spec.total_steps - 1
+        eps = draw_eps(params, x.shape[0], reparam)
         try:
-            loss, grads, bd = backward(x, params, reparam, y_obs=y_obs)
+            loss, grads, bd = backward(x, params, reparam, y_obs=y_obs, eps=eps)
         except NumericError as exc:
             raise NumericError(f"{exc} at step {step}") from exc
+        if eval_step and y_obs is not None:
+            # The constrained loss decodes one component per sample; metrics.csv
+            # logs the marginalized objective of the same batch and noise.
+            bd = elbo(x, params, None, eps=eps)
         adam_step(params, grads, adam)
         exp_state.steps_since_last_expansion += 1
 
@@ -213,7 +219,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
         if replay_on and policy.fires_after_step(step):
             note_snapshot(step)
 
-        if (step + 1) % cfg.eval.cadence == 0 or step == spec.total_steps - 1:
+        if eval_step:
             report = evaluate(params, test, train, substream(cfg.seed, STREAM_EVAL, step),
                               step=step, knn_train_subsample=cfg.eval.knn_train_subsample,
                               knn_test_subsample=cfg.eval.knn_test_subsample,

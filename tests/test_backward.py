@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import fd_check, forward_loss, random_inputs, tiny_params
-from mixvae.model import backward, draw_eps
+from mixvae import model
+from mixvae.model import backward, draw_eps, supervised_elbo
 from mixvae.rng import RngState
 
 
@@ -100,3 +101,90 @@ def test_y_obs_out_of_range():
     x = random_inputs(2, 6)
     with pytest.raises(IndexError):
         backward(x, params, RngState(0, (28,)), y_obs=np.array([0, 2]))
+
+
+def all_rows_constrained(params, x, eps, y):
+    """Reference for the constrained loss that decodes all B*K rows.
+
+    Per-sample values, loss and gradients of log p(x|z_y) - KL_y + ln q(y|x)
+    from the marginalized forward pass, with a one-hot g_r over every
+    decoded (sample, component) row sent back through the decoder.
+    """
+    cache = model._forward(params, x, eps)
+    bd = cache.breakdown
+    b, k, nz = eps.shape
+    rows = np.arange(b)
+    values = (bd.recon_per_component[rows, y] - bd.gauss_kl_per_component[rows, y]
+              + cache.ln_q[rows, y])
+    grads = {}
+    onehot = np.zeros((b, k))
+    onehot[rows, y] = 1.0
+    g_r = -onehot / b
+    g_t = -(onehot - bd.task_posterior) / b
+    grads["task_w"] = g_t.T @ cache.h
+    grads["task_b"] = g_t.sum(axis=0)
+    g_h = g_t @ params["task_w"]
+
+    g_o = (g_r[:, :, None] * (x[:, None, :] - cache.p) * cache.p_mask).reshape(b * k, -1)
+    *hidden, (w_out, b_out) = params.layers["dec"]
+    grads[w_out] = g_o.T @ cache.g
+    grads[b_out] = g_o.sum(axis=0)
+    g_a0 = model._dense_relu_backward(g_o @ params[w_out], params, hidden, cache.dec, grads)
+    g_z = (g_a0 @ params[hidden[0][0]]).reshape(b, k, nz)
+
+    g_klg = -g_r[:, :, None]
+    psig, pmu = cache.psig[None], params["prior_mu"][None]
+    inv_p2 = 1.0 / (psig * psig)
+    g_mu = g_klg * (cache.mu - pmu) * inv_p2 + g_z
+    g_sig = g_klg * (cache.sig * inv_p2 - 1.0 / cache.sig) + g_z * cache.eps
+    g_a = np.concatenate([g_mu, g_sig * model.sigmoid(cache.rho)], axis=2)
+    grads["lat_w"] = np.einsum("bkj,bh->kjh", g_a, cache.h)
+    grads["lat_b"] = g_a.sum(axis=0)
+    g_h = g_h + np.einsum("bkj,kjh->bh", g_a, params["lat_w"])
+    grads["prior_mu"] = np.sum(g_klg * (pmu - cache.mu) * inv_p2, axis=0)
+    g_psig = np.sum(g_klg * (1.0 / psig - (cache.sig ** 2 + (cache.mu - pmu) ** 2) / psig ** 3),
+                    axis=0)
+    grads["prior_rho"] = g_psig * model.sigmoid(params["prior_rho"])
+    model._dense_relu_backward(g_h, params, params.layers["enc"], cache.enc, grads)
+    return values, float(-np.mean(values)), grads
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("batch", [1, 17])
+def test_constrained_path_decodes_labelled_rows_only(k, batch):
+    # the B-row decode gives what decoding all B*K rows and reading one gives
+    seed = 10 * k + batch
+    params = tiny_params(seed=seed, k=k, k_max=6)
+    x = random_inputs(batch, 6, seed=seed)
+    eps = draw_eps(params, batch, RngState(seed, (32,)))
+    labels = RngState(seed, (33,)).integers(k, size=batch)
+    skipped = np.full(batch, k - 1)  # every sample on one component, the others unused
+    skipped[::3] = 0
+    for y in (labels, skipped):
+        values, ref_loss, ref_grads = all_rows_constrained(params, x, eps, y)
+        loss, grads, bd = backward(x, params, None, y_obs=y, eps=eps)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        np.testing.assert_allclose(supervised_elbo(x, y, params, None, eps=eps), values,
+                                   rtol=1e-12, atol=0)
+        assert set(grads) == set(ref_grads)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=1e-12, atol=0,
+                                       err_msg=name)
+        # the constrained breakdown holds only what needs no decode
+        assert bd.recon_per_component is None and bd.gauss_kl_per_component is None
+        assert bd.total is None
+        marginal = model.elbo(x, params, None, eps=eps)
+        assert np.array_equal(bd.task_posterior, marginal.task_posterior)
+        assert np.array_equal(bd.cat_kl, marginal.cat_kl)
+
+
+@pytest.mark.parametrize("batch", [1, 17])
+def test_single_component_constrained_equals_marginal(batch):
+    params = tiny_params(seed=batch, k=1)
+    x = random_inputs(batch, 6, seed=batch + 80)
+    eps = draw_eps(params, batch, RngState(batch, (34,)))
+    loss_m, grads_m, _ = backward(x, params, None, eps=eps)
+    loss_c, grads_c, _ = backward(x, params, None, y_obs=np.zeros(batch, dtype=int), eps=eps)
+    assert loss_c == loss_m
+    for name, g in grads_m.items():
+        np.testing.assert_array_equal(grads_c[name], g, err_msg=name)

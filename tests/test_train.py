@@ -132,6 +132,41 @@ class TestRunTrain:
         with pytest.raises(NumericError, match="step"):
             run_train(cfg)
 
+    def test_constrained_eval_steps_log_the_marginal_objective(self, tmp_path, monkeypatch):
+        # SMGR replay batches train with the constrained loss, whose breakdown
+        # carries no marginal total; an eval step on one logs elbo() of the
+        # same batch and noise, and a marginal eval step never calls it
+        import mixvae.train as train_mod
+        constrained = []  # per training step: whether backward got labels
+        logged = {}       # step -> breakdown elbo() returned
+        real_backward, real_elbo = train_mod.backward, train_mod.elbo
+
+        def recording_backward(x, params, rng, y_obs=None, eps=None):
+            constrained.append(y_obs is not None)
+            return real_backward(x, params, rng, y_obs=y_obs, eps=eps)
+
+        def recording_elbo(*args, **kwargs):
+            bd = real_elbo(*args, **kwargs)
+            logged[len(constrained) - 1] = bd
+            return bd
+        monkeypatch.setattr(train_mod, "backward", recording_backward)
+        monkeypatch.setattr(train_mod, "elbo", recording_elbo)
+        cfg = toy_cfg(tmp_path, steps=300, **{"replay.mode": "smgr", "replay.snapshot": "fixed",
+                                              "replay.snapshot_period": 100,
+                                              "expansion.enabled": "false", "eval.cadence": 75})
+        result = run_train(cfg)
+        eval_steps = (74, 149, 224, 299)
+        assert len(constrained) == 300 and constrained[299]  # the final eval step is replay
+        assert {s for s in eval_steps if not constrained[s]} == {74, 224}
+        assert set(logged) == {s for s in eval_steps if constrained[s]}
+        rows = [line.split(",") for line in open(result.metrics_path).read().split("\n")[1:-1]]
+        assert [int(r[0]) for r in rows] == list(eval_steps)
+        for r in rows:
+            bd = logged.get(int(r[0]))
+            if bd is not None:
+                assert float(r[2]) == float(np.mean(bd.total))
+                assert float(r[3]) == float(np.mean(bd.cat_kl))
+
 
 class TestSupervisedTraining:
     def cfg(self, tmp_path, steps=500):

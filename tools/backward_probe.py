@@ -1,0 +1,63 @@
+"""Wall time of one `backward` call on the full-scale MNIST architecture.
+
+Usage: python3 tools/backward_probe.py SRC_DIR
+
+Imports `mixvae` from SRC_DIR (the `src/` directory of a checkout) and
+times `model.backward` at batch 64 on the 784 -> 1200 -> 600 -> 300 -> 150
+encoder, n_z 32 and the 500 -> 500 decoder, for K = 1, 10 and 25, under
+the marginalized loss and under the component-constrained loss (labels
+drawn uniformly over the K components). Inputs are seeded uniform
+values in [0, 1]. Each cell is the median of 5 timed calls after one
+untimed call. BLAS is pinned to one thread, as in perfbench, so that the
+numbers do not depend on the machine's core count.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+BATCH = 64
+KS = (1, 10, 25)
+REPEATS = 5
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/backward_probe.py SRC_DIR", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.abspath(argv[0]))
+    import numpy as np
+    from mixvae.model import Architecture, backward, draw_eps, init_params
+    from mixvae.rng import RngState
+
+    arch = Architecture(input_dim=784, encoder=(1200, 600, 300, 150), n_z=32,
+                        decoder=(500, 500), k_max=max(KS))
+    print(f"backward ms, batch {BATCH}, one BLAS thread, median of {REPEATS}")
+    print("| K | marginal loss | constrained loss |")
+    print("|---|---|---|")
+    for k in KS:
+        rng = RngState(0, (k,))
+        params = init_params(arch, rng, k_init=k)
+        x = rng.uniform(0.0, 1.0, (BATCH, arch.input_dim))
+        eps = draw_eps(params, BATCH, rng)
+        y = rng.integers(k, size=BATCH)
+        cells = []
+        for y_obs in (None, y):
+            backward(x, params, None, y_obs=y_obs, eps=eps)
+            times = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                backward(x, params, None, y_obs=y_obs, eps=eps)
+                times.append(time.perf_counter() - t0)
+            cells.append(f"{1e3 * float(np.median(times)):.0f} ms")
+        print(f"| {k} | {cells[0]} | {cells[1]} |")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
