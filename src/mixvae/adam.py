@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter buffers.
+"""Adam optimizer over one flat parameter vector.
 
 Standard published Adam recurrence with bias correction:
 
@@ -6,8 +6,17 @@ Standard published Adam recurrence with bias correction:
     v <- b2*v + (1-b2)*g^2      v_hat = v / (1 - b2^t)
     p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
-State is keyed by buffer name so buffers may grow (dynamic expansion
-appends component rows; the matching accumulator rows start at zero).
+Parameters, gradients and both moments are `FlatBuffers` of one layout
+(`model.param_spec` order), so a step is one pass over four contiguous
+vectors. The pass runs in chunks of CHUNK elements through two scratch
+blocks the state keeps, so it allocates nothing and a chunk's operands
+stay in cache between its operations. On purpose, each chunk repeats
+the per-element operations of the whole-array expressions
+`m += (1-b1)*g`, `v += (1-b2)*(g*g)` and
+`p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)` in their order, so the update is
+bitwise what those expressions give and trained outputs do not move.
+Dynamic expansion grows the moments with the parameters
+(`model.add_component_rows`), with zero rows for the new component.
 """
 
 from __future__ import annotations
@@ -15,14 +24,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
+from .model import FlatBuffers
 
 DEFAULT_LR = 1e-3
 DEFAULT_BETA1 = 0.9
 DEFAULT_BETA2 = 0.999
 DEFAULT_EPS = 1e-8
+# Elements per chunk of the update pass: 256 KB per operand. Chunks of
+# 4,096 to 65,536 elements ran equally fast on the full-scale net.
+CHUNK = 32768
 
 
 class AdamState:
+    """Hyperparameters, timestep and first and second moments.
+
+    The moments are empty until the first step, which creates them with
+    `zero_moments`.
+    """
+
     def __init__(self, lr: float = DEFAULT_LR, beta1: float = DEFAULT_BETA1,
                  beta2: float = DEFAULT_BETA2, eps: float = DEFAULT_EPS):
         self.lr = float(lr)
@@ -30,50 +49,60 @@ class AdamState:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-
-    def ensure(self, name: str, shape: tuple[int, ...]) -> None:
-        if name not in self.m:
-            self.m[name] = np.zeros(shape)
-            self.v[name] = np.zeros(shape)
-
-    def grow_rows(self, name: str, new_shape: tuple[int, ...]) -> None:
-        """Pad accumulators with zero rows along axis 0 to match a grown buffer."""
-        if name not in self.m:
-            self.ensure(name, new_shape)
-            return
-        old = self.m[name].shape
-        if old == tuple(new_shape):
-            return
-        if old[1:] != tuple(new_shape[1:]) or new_shape[0] < old[0]:
-            raise ShapeError(f"cannot grow {name} accumulators {old} -> {tuple(new_shape)}")
-        pad = (new_shape[0] - old[0],) + old[1:]
-        self.m[name] = np.concatenate([self.m[name], np.zeros(pad)], axis=0)
-        self.v[name] = np.concatenate([self.v[name], np.zeros(pad)], axis=0)
+        self.m = FlatBuffers({})
+        self.v = FlatBuffers({})
+        self._scratch = np.empty((2, 0))  # two blocks of min(CHUNK, n), made by adam_step
 
 
-def adam_step(params, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One Adam update, in place, over every buffer present in `grads`.
+def zero_moments(params: FlatBuffers) -> tuple[FlatBuffers, FlatBuffers]:
+    """Zero first and second moments in the parameters' layout.
 
-    `params[name]` must give each parameter array (a ModelParams or a dict).
-
-    t increments by exactly 1 per call. Raises ShapeError if a gradient
-    or accumulator shape disagrees with its parameter.
+    The two vectors are the rows of one (2, n) block, so they are one
+    allocation. On the full-scale net that block is over 32 MB, above the
+    largest request glibc's malloc serves from its heap, so it is mapped
+    and unmapped whole and leaves no hole in the heap; two separate 20 MB
+    moment vectors raised `wide-k1-iid`'s peak RSS.
     """
+    block = np.zeros((2, params.vector.size))
+    return FlatBuffers(params.shapes, block[0]), FlatBuffers(params.shapes, block[1])
+
+
+def adam_step(params: FlatBuffers, grads: FlatBuffers, state: AdamState) -> None:
+    """One Adam update of every parameter, in place.
+
+    t increments by exactly 1 per call. Raises ShapeError if the gradient
+    or moment vector's length differs from the parameter vector's.
+    """
+    p, g = params.vector, grads.vector
+    if g.size != p.size:
+        raise ShapeError(f"{g.size} gradients for {p.size} parameters")
+    if not state.m:
+        state.m, state.v = zero_moments(params)
+    m, v = state.m.vector, state.v.vector
+    if not m.size == v.size == p.size:
+        raise ShapeError(f"Adam moments of {m.size} and {v.size} values for {p.size} parameters")
+    if state._scratch.shape[1] < min(CHUNK, p.size):
+        state._scratch = np.empty((2, min(CHUNK, p.size)))
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    for name, g in grads.items():
-        p = params[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient {name} shape {g.shape} != param shape {p.shape}")
-        state.ensure(name, p.shape)
-        m, v = state.m[name], state.v[name]
-        if m.shape != p.shape:
-            raise ShapeError(f"accumulator {name} shape {m.shape} != param shape {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1, c2 = 1.0 - b1, 1.0 - b2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    for lo in range(0, p.size, CHUNK):
+        hi = min(lo + CHUNK, p.size)
+        pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        t, u = state._scratch[:, :hi - lo]
+        mc *= b1
+        np.multiply(gc, c1, out=t)
+        mc += t
+        vc *= b2
+        np.multiply(gc, gc, out=t)
+        t *= c2
+        vc += t
+        np.divide(mc, bc1, out=t)
+        t *= lr
+        np.divide(vc, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += eps
+        t /= u
+        pc -= t

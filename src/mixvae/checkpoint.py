@@ -13,22 +13,27 @@ Layout (all little-endian):
     n_enc, sizes...  u32 each  encoder layer widths
     n_dec, sizes...  u32 each  decoder hidden widths (output width is D)
     usage_total      u64
-    parameter buffers, f64, in model.param_spec order
-    Adam m then v per buffer, f64, same order (zeros when absent)
+    parameter vector, f64: every buffer in model.param_spec order
+    Adam m vector, then Adam v vector, f64, same layout (zeros when absent)
     usage accumulated, K x f64
 
-Float payloads are written as numpy '<f8' buffers, so save -> load ->
-save is byte-identical.
+The three vectors are the `FlatBuffers` vectors of the parameters and
+the moments, so the body takes three large writes and the same bytes as
+writing each buffer in turn. Float payloads are written as numpy '<f8'
+buffers and read back into fresh float64 arrays, so save -> load -> save
+is byte-identical.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adam import AdamState
+from .adam import AdamState, zero_moments
 from .errors import CheckpointError
 from .model import Architecture, ModelParams, param_spec
 from .replay import UsageCounts
@@ -53,34 +58,44 @@ def _write_array(fh, a: np.ndarray) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+    """Typed reads from an open checkpoint file."""
+
+    def __init__(self, fh):
+        self.fh = fh
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
+        if n > self.bytes_left():
             raise CheckpointError(f"truncated checkpoint while reading {what}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        return self.fh.read(n)
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        raw = self.take(8 * n, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    def fill(self, out: np.ndarray) -> None:
+        """Read the file's next out.size '<f8' values into `out` (the caller
+        has checked that the file holds them)."""
+        raw = out.view("<f8")
+        self.fh.readinto(memoryview(raw).cast("B"))
+        if raw.dtype != out.dtype:
+            out.byteswap(inplace=True)
+
+    def bytes_left(self) -> int:
+        return os.fstat(self.fh.fileno()).st_size - self.fh.tell()
 
 
 def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None,
                     usage: UsageCounts | None = None, step: int = 0,
                     snapshot: bool = False) -> None:
-    """Assemble the header in memory, then write it and each float buffer to the file."""
+    """Assemble the header in memory, then write it, the parameter vector,
+    both Adam moment vectors and the usage counts to the file."""
     adam = adam if adam is not None else AdamState()
     usage = usage if usage is not None else UsageCounts(params.k)
     if len(usage.accumulated) != params.k:
         raise CheckpointError("usage counts length disagrees with K")
+    if adam.m:
+        for name, shape in params.shapes.items():
+            if not adam.m.shapes.get(name) == adam.v.shapes.get(name) == shape:
+                raise CheckpointError(f"Adam moments of {name} disagree with its shape {shape}")
     arch = params.arch
     out = bytearray()
     out += MAGIC
@@ -94,25 +109,20 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None,
     out += struct.pack("<I", len(arch.decoder))
     out += struct.pack(f"<{len(arch.decoder)}I", *arch.decoder)
     out += struct.pack("<Q", usage.total_batches)
-    buffers = params.buffers()
-    for name, buf in buffers:
-        if name in adam.m and not adam.m[name].shape == adam.v[name].shape == buf.shape:
-            raise CheckpointError(f"Adam moments of {name} disagree with its shape {buf.shape}")
-    # A 1 MB write buffer gathers the many small buffers of a small net
-    # into few system calls; larger buffers go to the file directly.
-    with open(path, "wb", buffering=1 << 20) as fh:
+    moments = ((adam.m.vector, adam.v.vector) if adam.m
+               else (np.zeros_like(params.vector),) * 2)
+    with open(path, "wb") as fh:
         fh.write(out)
-        for _, buf in buffers:
-            _write_array(fh, buf)
-        for moments in (adam.m, adam.v):
-            for name, buf in buffers:
-                _write_array(fh, moments[name] if name in moments else np.zeros_like(buf))
-        _write_array(fh, usage.accumulated)
+        for vector in (params.vector, *moments, usage.accumulated):
+            _write_array(fh, vector)
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
+        return _read_checkpoint(_Reader(fh))
+
+
+def _read_checkpoint(rd: _Reader) -> LoadedCheckpoint:
     if rd.take(8, "magic") != MAGIC:
         raise CheckpointError("bad checkpoint magic")
     version, flags = rd.unpack("<II", "version")
@@ -134,16 +144,19 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise CheckpointError(f"bad model dims: K={k}, K_max={k_max}, n_z={n_z}, D={input_dim}, "
                               f"encoder {enc}, decoder {dec}")
     arch = Architecture(input_dim=input_dim, encoder=enc, n_z=n_z, decoder=dec, k_max=k_max)
-    spec = param_spec(arch, k)
-    bufs = {name: rd.array(shape, name) for name, shape, _ in spec}
+    n = sum(math.prod(shape) for _, shape, _ in param_spec(arch, k))
+    extra = rd.bytes_left() - 8 * (3 * n + k)
+    if extra < 0:
+        raise CheckpointError("truncated checkpoint while reading the parameter, moment "
+                              "and usage vectors")
+    if extra:
+        raise CheckpointError(f"{extra} bytes after the usage counts")
+    params = ModelParams(arch, k)
     adam = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
     adam.t = t
-    adam.m = {name: rd.array(shape, f"adam m {name}") for name, shape, _ in spec}
-    adam.v = {name: rd.array(shape, f"adam v {name}") for name, shape, _ in spec}
+    adam.m, adam.v = zero_moments(params)
     usage = UsageCounts(k)
-    usage.accumulated = rd.array((k,), "usage counts")
     usage.total_batches = usage_total
-    if rd.pos != len(rd.blob):
-        raise CheckpointError(f"{len(rd.blob) - rd.pos} bytes after the usage counts")
-    return LoadedCheckpoint(ModelParams(arch, k, bufs), adam, usage, int(step),
-                            bool(flags & FLAG_SNAPSHOT))
+    for vector in (params.vector, adam.m.vector, adam.v.vector, usage.accumulated):
+        rd.fill(vector)
+    return LoadedCheckpoint(params, adam, usage, int(step), bool(flags & FLAG_SNAPSHOT))

@@ -16,10 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adam import AdamState, adam_step
+from .adam import AdamState, adam_step, zero_moments
 from .data import Batch
 from .errors import ConfigError, StateError
-from .model import ModelParams, backward, encode_shared, generate, infer_task_posterior, param_spec
+from .model import (
+    ModelParams,
+    add_component_rows,
+    backward,
+    encode_shared,
+    generate,
+    infer_task_posterior,
+)
 from .replay import UsageCounts
 from .rng import RngState
 
@@ -123,11 +130,15 @@ def select_parent(buffer: PoorSampleBuffer, params: ModelParams) -> int:
 def add_component(params: ModelParams, adam: AdamState, usage: UsageCounts,
                   state: ExpansionState, parent: int, step: int) -> None:
     """Append component K+1 as an exact copy of `parent`, pad the optimizer
-    and usage rows with zeros to the new K, and log the event."""
+    and usage rows with zeros to the new K, and log the event. An optimizer
+    that has not stepped yet has no moments to pad."""
+    k = params.k
     params.add_component_copy(parent)
-    for name, shape, per_component in param_spec(params.arch, params.k):
-        if per_component:
-            adam.grow_rows(name, shape)
+    if adam.m:
+        m, v = zero_moments(params)
+        add_component_rows(params.arch, k, adam.m.vector, out=m.vector)
+        add_component_rows(params.arch, k, adam.v.vector, out=v.vector)
+        adam.m, adam.v = m, v
     usage.grow(params.k)
     state.expansion_log.append((int(step), parent, params.k))
 

@@ -72,10 +72,17 @@ def relu(x) -> np.ndarray:
     return np.maximum(as_f64(x), 0.0)
 
 
-def glorot_uniform(rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Uniform Glorot init: U(-a, a), a = sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(rng, fan_in: int, fan_out: int, out: np.ndarray) -> None:
+    """Uniform Glorot init of `out` in place: U(-a, a), a = sqrt(6 / (fan_in + fan_out)).
+
+    Writes the bits `rng.uniform(-a, a, out.shape)` returns, which numpy
+    computes as -a + 2a * U from the draws `random` makes, without a
+    temporary as large as `out`.
+    """
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, shape)
+    rng.gen.random(out=out)
+    out *= a - (-a)
+    out += -a
 
 
 def finite_difference_grad(

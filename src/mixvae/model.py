@@ -27,6 +27,8 @@ forward pass, so forward and backward always see the same noise.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -87,43 +89,84 @@ def param_spec(arch: Architecture, k: int) -> list[tuple[str, tuple[int, ...], b
             + dense("dec", (nz,) + arch.decoder + (arch.input_dim,)))
 
 
-class ModelParams:
-    """All learnable buffers, by name in `param_spec` order, plus the active component count K.
+def _shapes(arch: Architecture, k: int) -> dict[str, tuple[int, ...]]:
+    return {name: shape for name, shape, _ in param_spec(arch, k)}
 
-    `params[name]` is the buffer itself, so in-place updates reach the model.
+
+class FlatBuffers(Mapping):
+    """Named arrays that are reshaped views of one contiguous float64 vector.
+
+    The views tile `vector` in the order of `shapes`, so a write through
+    `self[name]` reaches the vector, and one pass over the vector (an Adam
+    update, a copy, a file write) covers every buffer. `self[name] = a`
+    copies `a` into the view.
     """
 
-    def __init__(self, arch: Architecture, k: int, buffers: dict[str, np.ndarray]):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], vector: np.ndarray | None = None):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        vector = np.zeros(sum(sizes)) if vector is None else vector
+        if (vector.shape != (sum(sizes),) or vector.dtype != np.float64
+                or not vector.flags.c_contiguous):
+            raise ShapeError(f"{vector.dtype} vector of shape {vector.shape} for a layout "
+                             f"of {sum(sizes)} float64 values")
+        self.shapes = dict(shapes)
+        self.vector = vector
+        self._views = {}
+        start = 0
+        for (name, shape), size in zip(self.shapes.items(), sizes):
+            self._views[name] = vector[start:start + size].reshape(shape)
+            start += size
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        self._views[name][...] = value
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        return list(self._views.items())
+
+
+class ModelParams(FlatBuffers):
+    """All learnable buffers in `param_spec` order, as views of one float64
+    vector, plus the active component count K.
+
+    `buffers` is a dict of named arrays, checked against the registry and
+    copied into a new vector; or a vector of the layout's length, used as
+    it is; or None for all zeros.
+    """
+
+    def __init__(self, arch: Architecture, k: int,
+                 buffers: dict[str, np.ndarray] | np.ndarray | None = None):
+        if not 1 <= k <= arch.k_max:
+            raise ShapeError(f"K={k} outside [1, K_max={arch.k_max}]")
+        shapes = _shapes(arch, k)
+        if isinstance(buffers, dict):
+            have = [(name, np.shape(buf)) for name, buf in buffers.items()]
+            bad = next(((w, h) for w, h in zip_longest(shapes.items(), have) if w != h), None)
+            if bad is not None:
+                raise ShapeError(f"buffer {bad[1]} where the registry declares {bad[0]}")
+            buffers = np.concatenate([np.ravel(buf) for buf in buffers.values()],
+                                     dtype=np.float64)
+        super().__init__(shapes, buffers)
         self.arch = arch
         self.k = k
-        self._bufs = dict(buffers)
-        self._check()
         # (weight, bias) names of each "enc" and "dec" dense layer, input side
         # first; the registry lists each dense weight just before its bias.
-        names = list(self._bufs)
+        names = list(shapes)
         self.layers = {stack: [(w, b) for w, b in zip(names, names[1:])
                                if w.startswith(stack + "_w.")]
                        for stack in ("enc", "dec")}
 
-    def _check(self) -> None:
-        if not 1 <= self.k <= self.arch.k_max:
-            raise ShapeError(f"K={self.k} outside [1, K_max={self.arch.k_max}]")
-        want = [(name, shape) for name, shape, _ in param_spec(self.arch, self.k)]
-        have = [(name, buf.shape) for name, buf in self._bufs.items()]
-        bad = next(((w, h) for w, h in zip_longest(want, have) if w != h), None)
-        if bad is not None:
-            raise ShapeError(f"buffer {bad[1]} where the registry declares {bad[0]}")
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._bufs[name]
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return list(self._bufs.items())
-
     def clone(self) -> "ModelParams":
-        """Independent copy; each buffer copy keeps its source's memory layout."""
-        return ModelParams(self.arch, self.k,
-                           {name: buf.copy(order="K") for name, buf in self._bufs.items()})
+        """Independent copy: one copy of the parameter vector."""
+        return ModelParams(self.arch, self.k, self.vector.copy())
 
     def add_component_copy(self, parent: int) -> None:
         """Append component K+1 as an exact copy of component `parent`."""
@@ -131,31 +174,47 @@ class ModelParams:
             raise IndexError(f"parent {parent} out of range for K={self.k}")
         if self.k + 1 > self.arch.k_max:
             raise ShapeError(f"expansion beyond capacity K_max={self.arch.k_max}")
-        for name, _, per_component in param_spec(self.arch, self.k):
-            if per_component:
-                buf = self._bufs[name]
-                self._bufs[name] = np.concatenate([buf, buf[parent:parent + 1]])
+        vector = add_component_rows(self.arch, self.k, self.vector, parent)
         self.k += 1
+        super().__init__(_shapes(self.arch, self.k), vector)
+
+
+def add_component_rows(arch: Architecture, k: int, vector: np.ndarray,
+                       parent: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The K+1 layout's vector, built from the K layout's `vector` (into
+    `out` when given).
+
+    Each per-component buffer gains a last row: a copy of row `parent`, or
+    zeros when `parent` is None (the Adam moments of a new component).
+    Every other value keeps its place within its buffer.
+    """
+    pieces, start = [], 0
+    for _, shape, per_component in param_spec(arch, k):
+        buf = vector[start:start + math.prod(shape)].reshape(shape)
+        start += buf.size
+        pieces.append(buf.ravel())
+        if per_component:
+            pieces.append(np.zeros(buf[0].size) if parent is None else buf[parent].ravel())
+    return np.concatenate(pieces, out=out)
 
 
 def init_params(arch: Architecture, rng: RngState, k_init: int = 1) -> ModelParams:
     """Glorot-uniform weights (the `*_w` buffers), zero biases, zero prior rows.
 
-    Weights are drawn in the registry's order, so a given seed always
-    produces the same parameters. Task and latent head weights are drawn
-    per component row (fan_in = shared width, fan_out = the row's output
-    count), so the scale does not depend on the initial component count.
+    Weights are drawn in the registry's order, each into its view of the
+    parameter vector, so a given seed always produces the same parameters.
+    Task and latent head weights are drawn per component row (fan_in =
+    shared width, fan_out = the row's output count), so the scale does not
+    depend on the initial component count.
     """
     if not (1 <= k_init <= arch.k_max):
         raise ValueError(f"k_init must be in [1, {arch.k_max}]")
-    bufs = {}
+    params = ModelParams(arch, k_init)
     for name, shape, per_component in param_spec(arch, k_init):
         if "_w" in name:
             row = shape[1:] if per_component else shape
-            bufs[name] = glorot_uniform(rng, row[-1], int(np.prod(row[:-1])), shape)
-        else:
-            bufs[name] = np.zeros(shape)
-    return ModelParams(arch, k_init, bufs)
+            glorot_uniform(rng, row[-1], int(np.prod(row[:-1])), params[name])
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +380,15 @@ def _dense_relu(h: np.ndarray, params: ModelParams, layers) -> tuple[np.ndarray,
 
 
 def _dense_relu_backward(g: np.ndarray, params: ModelParams, layers, cache,
-                         grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Reverse of `_dense_relu`: store each layer's gradients in `grads` and
-    return the gradient with respect to the first layer's pre-activation."""
+                         grads: FlatBuffers) -> np.ndarray:
+    """Reverse of `_dense_relu`: write each layer's gradients into its views
+    in `grads` and return the gradient with respect to the first layer's
+    pre-activation."""
     for i in reversed(range(len(layers))):
         (w, b), (h, mask) = layers[i], cache[i]
         g = g * mask
-        grads[w] = g.T @ h
-        grads[b] = g.sum(axis=0)
+        np.matmul(g.T, h, out=grads[w])
+        g.sum(axis=0, out=grads[b])
         if i:
             g = g @ params[w]
     return g
@@ -430,12 +490,16 @@ def supervised_elbo(x: np.ndarray, y_obs, params: ModelParams, rng: RngState,
 
 
 def _backward(params: ModelParams, cache: _Cache,
-              y_obs: np.ndarray | None) -> tuple[float, dict[str, np.ndarray]]:
-    """Reverse-mode pass for the negative batch-mean objective."""
+              y_obs: np.ndarray | None) -> tuple[float, FlatBuffers]:
+    """Reverse-mode pass for the negative batch-mean objective.
+
+    The gradients get a new vector in the parameters' layout on every call,
+    and each of its views is written exactly once.
+    """
     arch = params.arch
     b, k, nz = cache.x.shape[0], params.k, arch.n_z
     scale = -1.0 / b
-    grads: dict[str, np.ndarray] = {}
+    grads = FlatBuffers(params.shapes, np.empty(params.vector.size))
     bd = cache.breakdown
     q = bd.task_posterior
     rows = np.arange(b)
@@ -456,16 +520,16 @@ def _backward(params: ModelParams, cache: _Cache,
         g_r_dec = g_r[rows, y_obs][:, None]
 
     # Task head.
-    grads["task_w"] = g_t.T @ cache.h
-    grads["task_b"] = g_t.sum(axis=0)
+    np.matmul(g_t.T, cache.h, out=grads["task_w"])
+    g_t.sum(axis=0, out=grads["task_b"])
     g_h = g_t @ params["task_w"]
 
     # Reconstruction branch through the decoder, over the rows it decoded.
     g_o = (g_r_dec[:, :, None] * (cache.x[:, None, :] - cache.p)
            * cache.p_mask).reshape(-1, arch.input_dim)
     *hidden, (w_out, b_out) = params.layers["dec"]
-    grads[w_out] = g_o.T @ cache.g
-    grads[b_out] = g_o.sum(axis=0)
+    np.matmul(g_o.T, cache.g, out=grads[w_out])
+    g_o.sum(axis=0, out=grads[b_out])
     g_a0 = _dense_relu_backward(g_o @ params[w_out], params, hidden, cache.dec, grads)
     g_z_dec = g_a0 @ params[hidden[0][0]]
     if y_obs is None:
@@ -474,18 +538,19 @@ def _backward(params: ModelParams, cache: _Cache,
         g_z = np.zeros((b, k, nz))
         g_z[rows, y_obs] = g_z_dec
 
-    # Gaussian KL branch.
+    # Gaussian KL branch, which holds the prior table's gradients.
     g_klg = -g_r
     psig = cache.psig[None]
     pmu = params["prior_mu"][None]
     inv_p2 = 1.0 / (psig * psig)
     g_mu = g_klg[:, :, None] * (cache.mu - pmu) * inv_p2
     g_sig = g_klg[:, :, None] * (cache.sig * inv_p2 - 1.0 / cache.sig)
-    g_pmu = np.sum(g_klg[:, :, None] * (pmu - cache.mu) * inv_p2, axis=0)
+    np.sum(g_klg[:, :, None] * (pmu - cache.mu) * inv_p2, axis=0, out=grads["prior_mu"])
     g_psig = np.sum(
         g_klg[:, :, None]
         * (1.0 / psig - (cache.sig ** 2 + (cache.mu - pmu) ** 2) / psig ** 3),
         axis=0)
+    np.multiply(g_psig, sigmoid(params["prior_rho"]), out=grads["prior_rho"])
 
     # Reparameterization.
     g_mu = g_mu + g_z
@@ -495,18 +560,14 @@ def _backward(params: ModelParams, cache: _Cache,
     g_a = np.concatenate([g_mu, g_sig * sigmoid(cache.rho)], axis=2)
     g_a_flat = g_a.reshape(b, k * 2 * nz)
     lat_w = params["lat_w"]
-    grads["lat_w"] = (g_a_flat.T @ cache.h).reshape(lat_w.shape)
-    grads["lat_b"] = g_a.sum(axis=0)
+    np.matmul(g_a_flat.T, cache.h, out=grads["lat_w"].reshape(k * 2 * nz, -1))
+    g_a.sum(axis=0, out=grads["lat_b"])
     g_h = g_h + g_a_flat @ lat_w.reshape(k * 2 * nz, -1)
-
-    # Prior table.
-    grads["prior_mu"] = g_pmu
-    grads["prior_rho"] = g_psig * sigmoid(params["prior_rho"])
 
     # Shared encoder.
     _dense_relu_backward(g_h, params, params.layers["enc"], cache.enc, grads)
 
-    return loss, {name: grads[name] for name, _ in params.buffers()}
+    return loss, grads
 
 
 def relu_margin(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> float:

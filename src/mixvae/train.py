@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -307,7 +307,7 @@ GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_KINK_MARGIN = 10.0
 
 
-def grad_rel_errors(params: ModelParams, grads: dict[str, np.ndarray],
+def grad_rel_errors(params: ModelParams, grads: Mapping[str, np.ndarray],
                     loss: Callable[[ModelParams], float], h: float) -> dict[str, float]:
     """Max relative error of each analytic gradient buffer against central
     differences of loss(params). One clone is perturbed a buffer at a time."""

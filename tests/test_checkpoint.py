@@ -52,6 +52,20 @@ def test_loaded_state_is_identical(tmp_path):
     assert not loaded.is_snapshot
 
 
+def test_loaded_vectors_are_fresh_and_writable(tmp_path):
+    params, adam, usage = trained_state(seed=2)
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(path, params, adam, usage)
+    loaded = load_checkpoint(path)
+    vectors = (loaded.params.vector, loaded.adam.m.vector, loaded.adam.v.vector,
+               loaded.usage.accumulated)
+    for i, vector in enumerate(vectors):
+        assert vector.flags.writeable
+        assert not any(np.shares_memory(vector, other) for other in vectors[i + 1:])
+    loaded.params["task_w"] += 1.0
+    assert not np.array_equal(loaded.params["task_w"], params["task_w"])
+
+
 def test_forward_pass_survives_round_trip(tmp_path):
     params, adam, usage = trained_state(seed=4)
     path = tmp_path / "d.ckpt"

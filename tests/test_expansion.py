@@ -7,6 +7,7 @@ from mixvae.errors import StateError
 from mixvae.expansion import (
     ExpansionState,
     PoorSampleBuffer,
+    add_component,
     expand,
     posterior_mass,
     screen_batch,
@@ -186,6 +187,28 @@ class TestExpand:
         assert state.steps_since_last_expansion == 0
         assert state.expansion_log == [(123, state.expansion_log[0][1], params.k)]
         assert adam.m["task_w"].shape == params["task_w"].shape
+
+    def test_add_component_grows_params_and_moments_by_one_row(self):
+        params, adam, _, state = self.setup_ready(k=2)
+        assert np.any(adam.m.vector) and np.any(adam.v.vector)
+        before = [{n: a.copy() for n, a in bufs.items()} for bufs in (params, adam.m, adam.v)]
+        parent = 0
+        add_component(params, adam, UsageCounts(params.k), state, parent, step=7)
+        assert params.k == 3 and adam.m.shapes == adam.v.shapes == params.shapes
+        for name, _, per_component in param_spec(params.arch, params.k):
+            for old, new in zip(before, (params, adam.m, adam.v)):
+                kept = new[name][:-1] if per_component else new[name]
+                assert kept.tobytes() == old[name].tobytes(), name
+            if per_component:
+                assert params[name][-1].tobytes() == before[0][name][parent].tobytes(), name
+                for moments in (adam.m, adam.v):
+                    assert moments[name][-1].tobytes() == bytes(moments[name][-1].nbytes), name
+
+    def test_add_component_leaves_an_unstepped_optimizer_without_moments(self):
+        params, _, _, state = self.setup_ready(k=2)
+        adam = AdamState()
+        add_component(params, adam, UsageCounts(params.k), state, 1, step=7)
+        assert params.k == 3 and len(adam.m) == len(adam.v) == 0
 
     def test_finetune_improves_constrained_objective_on_buffer(self):
         params, adam, buf, state = self.setup_ready(seed=2)

@@ -10,6 +10,7 @@ from mixvae.model import (
     BERNOULLI_EPS,
     SIGMA_FLOOR,
     ModelParams,
+    backward,
     bernoulli_log_likelihood,
     categorical_kl,
     component_posterior_params,
@@ -199,6 +200,46 @@ class TestRegistry:
             else:
                 expected = before[name]
             assert np.array_equal(params[name], expected), name
+
+
+class TestFlatLayout:
+    def test_views_tile_the_vector_in_registry_order(self):
+        params = tiny_params(k=3)
+        start = 0
+        for (name, shape, _), (got, buf) in zip(param_spec(params.arch, params.k),
+                                                params.buffers(), strict=True):
+            assert got == name and buf.shape == shape
+            assert np.shares_memory(buf, params.vector)
+            assert buf.ctypes.data == params.vector[start:].ctypes.data, name
+            start += buf.size
+        assert start == params.vector.size
+
+    def test_write_through_a_view_reaches_the_vector(self):
+        params = tiny_params(k=2)
+        params.vector[:] = 0.0
+        params["lat_b"][1, 0] = 7.5
+        offset = (params["lat_b"][1:].ctypes.data - params.vector.ctypes.data) // 8
+        assert np.flatnonzero(params.vector).tolist() == [offset]
+        params["prior_rho"] = -1.0  # assignment copies into the view
+        assert params.vector.sum() == 7.5 - params["prior_rho"].size
+        grown = params.clone()
+        grown.add_component_copy(1)
+        assert grown["lat_b"][2, 0] == 7.5 and np.shares_memory(grown["lat_b"], grown.vector)
+
+    def test_clone_shares_no_memory(self):
+        params = tiny_params(k=2)
+        twin = params.clone()
+        assert not np.shares_memory(twin.vector, params.vector)
+        assert np.array_equal(twin.vector, params.vector)
+
+    def test_gradients_share_the_layout_and_never_alias(self):
+        params = tiny_params(k=3)
+        x = random_inputs(2, 6)
+        _, g1, _ = backward(x, params, None, eps=draw_eps(params, 2, RngState(3, (18,))))
+        _, g2, _ = backward(x, params, None, eps=draw_eps(params, 2, RngState(4, (18,))))
+        assert g1.shapes == g2.shapes == params.shapes
+        assert not np.shares_memory(g1.vector, g2.vector)
+        assert not np.shares_memory(g1.vector, params.vector)
 
 
 class TestReparameterize:
