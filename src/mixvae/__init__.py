@@ -23,7 +23,7 @@ from .model import (
     init_params,
     supervised_elbo,
 )
-from .replay import Snapshot, SnapshotPolicy, UsageCounts, replay_step, take_snapshot
+from .replay import Snapshot, UsageCounts, replay_step, take_snapshot
 from .rng import RngState, substream
 from .train import run_eval, run_gradcheck, run_knn_sweep, run_train
 

@@ -1,6 +1,7 @@
 """Flat binary checkpoints with bit-exact round-trips.
 
-Layout (all little-endian):
+Layout (all little-endian). The fields from magic through D are the
+fixed 96-byte head, one `HEAD` struct:
 
     magic            8 bytes   b"MIXVAE\\x01\\x00"
     version          u32
@@ -42,6 +43,7 @@ from .rng import ALGORITHM_ID
 MAGIC = b"MIXVAE\x01\x00"
 VERSION = 1
 FLAG_SNAPSHOT = 1
+HEAD = struct.Struct("<8sII16s4dQQ4I")
 
 
 @dataclass
@@ -97,17 +99,12 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None,
             if not adam.m.shapes.get(name) == adam.v.shapes.get(name) == shape:
                 raise CheckpointError(f"Adam moments of {name} disagree with its shape {shape}")
     arch = params.arch
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", VERSION, FLAG_SNAPSHOT if snapshot else 0)
-    out += ALGORITHM_ID.encode("ascii").ljust(16, b"\x00")
-    out += struct.pack("<4d", adam.lr, adam.beta1, adam.beta2, adam.eps)
-    out += struct.pack("<QQ", adam.t, step)
-    out += struct.pack("<4I", params.k, arch.k_max, arch.n_z, arch.input_dim)
-    out += struct.pack("<I", len(arch.encoder))
-    out += struct.pack(f"<{len(arch.encoder)}I", *arch.encoder)
-    out += struct.pack("<I", len(arch.decoder))
-    out += struct.pack(f"<{len(arch.decoder)}I", *arch.decoder)
+    out = bytearray(HEAD.pack(MAGIC, VERSION, FLAG_SNAPSHOT if snapshot else 0,
+                              ALGORITHM_ID.encode("ascii"), adam.lr, adam.beta1, adam.beta2,
+                              adam.eps, adam.t, step, params.k, arch.k_max, arch.n_z,
+                              arch.input_dim))
+    for widths in (arch.encoder, arch.decoder):
+        out += struct.pack(f"<I{len(widths)}I", len(widths), *widths)
     out += struct.pack("<Q", usage.total_batches)
     moments = ((adam.m.vector, adam.v.vector) if adam.m
                else (np.zeros_like(params.vector),) * 2)
@@ -123,24 +120,26 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
 
 def _read_checkpoint(rd: _Reader) -> LoadedCheckpoint:
-    if rd.take(8, "magic") != MAGIC:
+    head = rd.fh.read(HEAD.size)
+    if head[:len(MAGIC)] != MAGIC:
         raise CheckpointError("bad checkpoint magic")
-    version, flags = rd.unpack("<II", "version")
+    if len(head) < HEAD.size:
+        raise CheckpointError("truncated checkpoint while reading the header")
+    (_, version, flags, algo, lr, b1, b2, eps, t, step,
+     k, k_max, n_z, input_dim) = HEAD.unpack(head)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    algo = rd.take(16, "rng algorithm").rstrip(b"\x00").decode("ascii")
+    algo = algo.rstrip(b"\x00").decode("ascii", "replace")
     if algo != ALGORITHM_ID:
         raise CheckpointError(f"checkpoint rng algorithm {algo!r} != this build's {ALGORITHM_ID!r}")
-    lr, b1, b2, eps = rd.unpack("<4d", "optimizer hyperparameters")
-    t, step = rd.unpack("<QQ", "timestep")
-    k, k_max, n_z, input_dim = rd.unpack("<4I", "model dims")
-    (n_enc,) = rd.unpack("<I", "encoder depth")
-    enc = rd.unpack(f"<{n_enc}I", "encoder sizes")
-    (n_dec,) = rd.unpack("<I", "decoder depth")
-    dec = rd.unpack(f"<{n_dec}I", "decoder sizes")
+    widths = []
+    for part in ("encoder", "decoder"):
+        (n_layers,) = rd.unpack("<I", f"{part} depth")
+        widths.append(rd.unpack(f"<{n_layers}I", f"{part} sizes"))
+    enc, dec = widths
     (usage_total,) = rd.unpack("<Q", "usage total")
 
-    if not 1 <= k <= k_max or 0 in (n_z, input_dim, n_enc, n_dec) + enc + dec:
+    if not 1 <= k <= k_max or not (enc and dec) or 0 in (n_z, input_dim) + enc + dec:
         raise CheckpointError(f"bad model dims: K={k}, K_max={k_max}, n_z={n_z}, D={input_dim}, "
                               f"encoder {enc}, decoder {dec}")
     arch = Architecture(input_dim=input_dim, encoder=enc, n_z=n_z, decoder=dec, k_max=k_max)

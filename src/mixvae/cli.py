@@ -10,25 +10,15 @@ directory when data.dir is empty.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 
-from .checkpoint import load_checkpoint
 from .config import apply_overrides, load_preset, parse_config, preset_names
-from .data import default_image_hw
 from .errors import MixvaeError
-from .evaluation import (
-    encode_eval_latents,
-    export_latents_csv,
-    incremental_class_accuracy,
-    incremental_task_accuracy,
-    sample_grid,
-    save_grid_matrix,
-    write_pgm,
-)
-from .model import generate
+from .evaluation import encode_eval_latents, export_latents_csv, export_samples
 from .rng import STREAM_EVAL, substream
-from .train import build_datasets, build_stream_spec, run_eval, run_gradcheck, run_knn_sweep, run_train
+from .train import load_for_eval, run_eval, run_gradcheck, run_knn_sweep, run_train
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -103,10 +93,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except MixvaeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (MixvaeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -125,23 +112,15 @@ def _dispatch(args) -> int:
         if bool(args.checkpoint) == bool(args.snapshots_dir):
             raise MixvaeError("export-samples needs exactly one of --checkpoint "
                               "or --snapshots-dir")
-        if args.snapshots_dir:
-            import glob
+        if args.checkpoint:
+            paths, cols = [args.checkpoint], 10
+        else:
             paths = sorted(glob.glob(os.path.join(args.snapshots_dir, "snapshot-*.ckpt")))
             if not paths:
                 raise MixvaeError(f"no snapshot-*.ckpt files in {args.snapshots_dir}")
-            from .train import export_snapshot_rows
-            export_snapshot_rows(paths, args.n, args.out_file, args.matrix_file,
-                                 seed=args.seed)
-            print(f"wrote {len(paths)} snapshot rows to {args.out_file}")
-            return 0
-        loaded = load_checkpoint(args.checkpoint)
-        rng = substream(args.seed, STREAM_EVAL, 10 ** 6)
-        x, _y = generate(loaded.params, loaded.usage.prior(), args.n, rng)
-        write_pgm(args.out_file, sample_grid(x, default_image_hw(loaded.params.arch.input_dim)))
-        if args.matrix_file:
-            save_grid_matrix(args.matrix_file, x)
-        print(f"wrote {args.n} samples to {args.out_file}")
+            cols = args.n
+        export_samples(paths, args.n, args.out_file, args.matrix_file, seed=args.seed, cols=cols)
+        print(f"wrote {len(paths) * args.n} samples to {args.out_file}")
         return 0
 
     if args.command == "train":
@@ -154,21 +133,12 @@ def _dispatch(args) -> int:
 
     if args.command == "eval":
         cfg = _resolve_config(args)
-        report = run_eval(cfg, args.checkpoint, split=args.split, out_csv=args.csv)
-        if cfg.mode == "supervised":
-            loaded = load_checkpoint(args.checkpoint)
-            train, _valid, test = build_datasets(cfg)
-            spec = build_stream_spec(cfg, train)
-            task = incremental_task_accuracy(loaded.params, test, spec.task_pairs)
-            cls = incremental_class_accuracy(loaded.params, test)
-            print(f"incremental_task={task:.4f} incremental_class={cls:.4f}")
-        return 0 if report is not None else 1
+        run_eval(cfg, args.checkpoint, split=args.split, out_csv=args.csv)
+        return 0
 
     if args.command == "export-latents":
         cfg = _resolve_config(args)
-        loaded = load_checkpoint(args.checkpoint)
-        train, valid, test = build_datasets(cfg)
-        target = {"train": train, "valid": valid, "test": test}[args.split]
+        loaded, _train, target = load_for_eval(cfg, args.checkpoint, args.split)
         rng = substream(cfg.seed, STREAM_EVAL, loaded.step)
         latents, comps = encode_eval_latents(target, loaded.params, rng,
                                              cfg.eval.latent_mode)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, fields
 
+from .data import STREAM_MODES
 from .errors import ConfigError
 
 
@@ -110,7 +111,7 @@ _SECTIONS = ("data", "stream", "arch", "opt", "expansion", "replay", "eval")
 _CHOICES = {
     "mode": ("unsupervised", "supervised"),
     "data.source": ("idx", "matrix", "blobs"),
-    "stream.mode": ("iid", "sequential", "continuous_drift", "split_task"),
+    "stream.mode": STREAM_MODES,
     "replay.mode": ("off", "mgr", "smgr"),
     "replay.snapshot": ("fixed", "dynamic"),
     "eval.latent_mode": ("sampled", "mean"),

@@ -49,7 +49,8 @@ class Dataset:
         if self.images.ndim != 2 or self.images.shape[0] != self.labels.shape[0]:
             raise DataFormatError(
                 f"count: images {self.images.shape} inconsistent with labels {self.labels.shape}")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        # written so that a NaN, which fails every comparison, is rejected too
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise DataFormatError("payload: intensities outside [0, 1]")
         if self.n_classes == 0:
             self.n_classes = int(self.labels.max()) + 1 if len(self.labels) else 0

@@ -15,10 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .checkpoint import load_checkpoint
+from .data import Dataset, default_image_hw
 from .kernels import check_finite
-from .model import ModelParams, component_posterior_params, encode_shared, infer_task_posterior
-from .rng import RngState
+from .model import (
+    ModelParams,
+    component_posterior_params,
+    encode_shared,
+    generate,
+    infer_task_posterior,
+)
+from .rng import STREAM_EVAL, RngState, substream
 
 KNN_KS = (3, 5, 10)
 _ENCODE_CHUNK = 2048
@@ -316,3 +323,22 @@ def load_grid_matrix(path) -> np.ndarray:
         raise ValueError(f"{path} is not a raw matrix file")
     rows, cols = struct.unpack_from("<QQ", blob, 6)
     return np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=22).reshape(rows, cols).copy()
+
+
+def export_samples(checkpoint_paths, n: int, out_pgm, out_matrix=None, seed: int = 0,
+                   cols: int = 10) -> np.ndarray:
+    """n generated samples per checkpoint, tiled `cols` per grid row.
+
+    Checkpoints are ordered by their stored step, and the i-th draws from
+    sub-stream (seed, STREAM_EVAL, 10**6 + i), so a run's snapshots, one
+    per row, show what the model remembered as training progressed.
+    """
+    loaded = sorted((load_checkpoint(p) for p in checkpoint_paths), key=lambda c: c.step)
+    flat = np.concatenate([
+        generate(c.params, c.usage.prior(), n, substream(seed, STREAM_EVAL, 10 ** 6 + i))[0]
+        for i, c in enumerate(loaded)])
+    grid = sample_grid(flat, default_image_hw(loaded[0].params.arch.input_dim), cols=cols)
+    write_pgm(out_pgm, grid)
+    if out_matrix is not None:
+        save_grid_matrix(out_matrix, flat)
+    return grid

@@ -10,8 +10,6 @@ component-constrained loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ModelParams, generate
@@ -67,28 +65,6 @@ class Snapshot:
 
     def prior(self) -> np.ndarray:
         return self.usage.prior()
-
-
-@dataclass
-class SnapshotPolicy:
-    """When to refresh the replay snapshot.
-
-    fixed: after every `period` completed steps. dynamic: immediately
-    before each expansion (handled by the trainer, which sees the
-    expansion trigger).
-    """
-    mode: str  # "fixed" | "dynamic"
-    period: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "dynamic"):
-            raise ValueError(f"unknown snapshot mode {self.mode!r}")
-        if self.mode == "fixed" and self.period < 1:
-            raise ValueError("fixed snapshot policy needs a positive period")
-
-    def fires_after_step(self, step: int) -> bool:
-        """Fixed-mode trigger, evaluated after completing 0-indexed `step`."""
-        return self.mode == "fixed" and (step + 1) % self.period == 0
 
 
 def take_snapshot(params: ModelParams, counts: UsageCounts, step: int) -> Snapshot:

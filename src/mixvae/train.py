@@ -20,12 +20,11 @@ from collections.abc import Callable, Mapping
 import numpy as np
 
 from .adam import AdamState, adam_step
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import LoadedCheckpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, serialize_config
 from .data import (
     Dataset,
     StreamSpec,
-    default_image_hw,
     load_idx,
     load_matrix_dataset,
     make_blob_dataset,
@@ -33,7 +32,7 @@ from .data import (
     split_train_valid,
 )
 from .errors import ConfigError, NumericError
-from .evaluation import EvalReport, encode_eval_latents, evaluate, export_latents_csv, knn_errors
+from .evaluation import EvalReport, evaluate, incremental_class_accuracy, incremental_task_accuracy
 from .expansion import (
     ExpansionState,
     PoorSampleBuffer,
@@ -44,7 +43,7 @@ from .expansion import (
 )
 from .kernels import finite_difference_grad
 from .model import Architecture, ModelParams, backward, draw_eps, elbo, init_params, relu_margin
-from .replay import Snapshot, SnapshotPolicy, UsageCounts, replay_step, take_snapshot
+from .replay import Snapshot, UsageCounts, replay_step, take_snapshot
 from .rng import (
     STREAM_DATASET,
     STREAM_EVAL,
@@ -147,7 +146,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
                                finetune_iters=cfg.expansion.finetune_iters,
                                finetune_batch=cfg.expansion.finetune_batch)
     replay_on = cfg.replay.mode != "off"
-    policy = SnapshotPolicy(cfg.replay.snapshot, cfg.replay.snapshot_period)
+    fixed_period = cfg.replay.snapshot_period if cfg.replay.snapshot == "fixed" else 0
     smgr = cfg.replay.mode == "smgr"
 
     reparam = substream(cfg.seed, STREAM_REPARAM)
@@ -210,13 +209,13 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
             if cfg.expansion.enabled and not supervised:
                 screen_batch(x, bd.total, buffer, step)
                 if should_expand(buffer, exp_state, params):
-                    if replay_on and policy.mode == "dynamic":
+                    if replay_on and not fixed_period:
                         note_snapshot(step)
                     expand(params, adam, usage, buffer, exp_state,
                            substream(cfg.seed, STREAM_EXPAND, len(exp_state.expansion_log)),
                            step, replay_prior=usage.prior() if replay_on else None)
 
-        if replay_on and policy.fires_after_step(step):
+        if replay_on and fixed_period and (step + 1) % fixed_period == 0:
             note_snapshot(step)
 
         if eval_step:
@@ -243,22 +242,36 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
                        final_report=reports[-1], reports=reports)
 
 
-def run_eval(cfg: ExperimentConfig, checkpoint_path, split: str = "test",
-             out_csv: str | None = None) -> EvalReport:
-    """Evaluate a checkpoint on a dataset split; print and append a CSV row."""
+def load_for_eval(cfg: ExperimentConfig, checkpoint_path,
+                  split: str = "test") -> tuple[LoadedCheckpoint, Dataset, Dataset]:
+    """The checkpoint, the training set and the chosen split, each loaded once;
+    an empty split or an input-dim mismatch raises ConfigError."""
     loaded = load_checkpoint(checkpoint_path)
-    params = loaded.params
     train, valid, test = build_datasets(cfg)
     target = {"train": train, "valid": valid, "test": test}[split]
     if len(target) == 0:
-        raise ValueError(f"empty {split} split")
-    if params.arch.input_dim != target.dim:
-        raise ConfigError(f"checkpoint input dim {params.arch.input_dim} != data dim {target.dim}")
+        raise ConfigError(f"empty {split} split")
+    if loaded.params.arch.input_dim != target.dim:
+        raise ConfigError(f"checkpoint input dim {loaded.params.arch.input_dim} "
+                          f"!= data dim {target.dim}")
+    return loaded, train, target
+
+
+def run_eval(cfg: ExperimentConfig, checkpoint_path, split: str = "test",
+             out_csv: str | None = None) -> EvalReport:
+    """Evaluate a checkpoint on a dataset split; print and append a CSV row.
+    A supervised config also prints its incremental accuracies on the split."""
+    loaded, train, target = load_for_eval(cfg, checkpoint_path, split)
+    params = loaded.params
     report = evaluate(params, target, train, substream(cfg.seed, STREAM_EVAL, loaded.step),
                       step=loaded.step, knn_train_subsample=cfg.eval.knn_train_subsample,
                       knn_test_subsample=cfg.eval.knn_test_subsample,
                       latent_mode=cfg.eval.latent_mode)
     print(report.summary())
+    if cfg.mode == "supervised":
+        pairs = build_stream_spec(cfg, train).task_pairs
+        print(f"incremental_task={incremental_task_accuracy(params, target, pairs):.4f} "
+              f"incremental_class={incremental_class_accuracy(params, target):.4f}")
     if out_csv:
         new = not os.path.exists(out_csv)
         with open(out_csv, "a") as fh:
@@ -267,31 +280,6 @@ def run_eval(cfg: ExperimentConfig, checkpoint_path, split: str = "test",
             nan = float("nan")
             fh.write(metrics_row(loaded.step, nan, nan, nan, params.k, report, 0, []))
     return report
-
-
-def export_snapshot_rows(snapshot_paths, n_per_row: int, out_pgm,
-                         out_matrix=None, seed: int = 0) -> np.ndarray:
-    """One row of generated samples per snapshot, stacked into a grid.
-
-    Snapshots are ordered by their stored step, so successive rows show
-    what the model remembered as training progressed.
-    """
-    from .evaluation import sample_grid, save_grid_matrix, write_pgm
-    from .model import generate
-    loaded = sorted((load_checkpoint(p) for p in snapshot_paths), key=lambda l: l.step)
-    if not loaded:
-        raise ValueError("no snapshot files given")
-    samples = []
-    for i, snap in enumerate(loaded):
-        x, _ = generate(snap.params, snap.usage.prior(), n_per_row,
-                        substream(seed, STREAM_EVAL, 10 ** 6 + i))
-        samples.append(x)
-    flat = np.concatenate(samples)
-    grid = sample_grid(flat, default_image_hw(loaded[0].params.arch.input_dim), cols=n_per_row)
-    write_pgm(out_pgm, grid)
-    if out_matrix is not None:
-        save_grid_matrix(out_matrix, flat)
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +357,16 @@ def run_gradcheck(seed: int = 0, n_configs: int = 5, h: float = 1e-5, verbose: b
 
 def run_knn_sweep(cfg: ExperimentConfig, dims: tuple[int, ...] = (8, 16, 32, 64, 128, 256),
                   n_seeds: int = 3, k: int = 10, out_csv: str | None = None):
-    """10-NN test error of randomly initialised models across latent sizes.
+    """k-NN test error of randomly initialised models across latent sizes.
 
-    For each (dim, seed): fresh Glorot-initialised model, sampled
-    latents for a seeded train subsample and the test set, k-NN error.
+    For each (dim, seed): a fresh Glorot-initialised model, scored by
+    `evaluate`'s k-NN fit under the config's eval settings.
     Returns {dim: [per-seed errors]}.
     """
     train, _valid, test = build_datasets(cfg)
+    n_sub = min(cfg.eval.knn_train_subsample, len(train))
+    if not 1 <= k <= n_sub:
+        raise ConfigError(f"k={k} invalid for a k-NN train subsample of {n_sub} points")
     results: dict[int, list[float]] = {}
     rows = []
     for dim in dims:
@@ -385,17 +376,12 @@ def run_knn_sweep(cfg: ExperimentConfig, dims: tuple[int, ...] = (8, 16, 32, 64,
         for s in range(n_seeds):
             seed = cfg.seed + s
             params = init_params(arch, substream(seed, STREAM_INIT), cfg.arch.k_init)
-            rng = substream(seed, STREAM_EVAL, dim)
-            n_sub = min(cfg.eval.knn_train_subsample, len(train))
-            sub = train.subset(rng.permutation(len(train))[:n_sub])
-            train_z, _ = encode_eval_latents(sub, params, rng, cfg.eval.latent_mode)
-            test_ds = test
-            if cfg.eval.knn_test_subsample and cfg.eval.knn_test_subsample < len(test):
-                test_ds = test.subset(rng.permutation(len(test))[:cfg.eval.knn_test_subsample])
-            test_z, _ = encode_eval_latents(test_ds, params, rng, cfg.eval.latent_mode)
-            err = knn_errors(train_z, sub.labels, test_z, test_ds.labels, (k,))[k]
-            errs.append(err)
-            rows.append((dim, seed, err))
+            report = evaluate(params, test, train, substream(seed, STREAM_EVAL, dim),
+                              knn_train_subsample=n_sub,
+                              knn_test_subsample=cfg.eval.knn_test_subsample,
+                              latent_mode=cfg.eval.latent_mode, ks=(k,))
+            errs.append(report.knn_error[k])
+            rows.append((dim, seed, report.knn_error[k]))
         results[dim] = errs
         print(f"knn-sweep n_z={dim}: {k}-NN error {100 * np.mean(errs):.2f}% "
               f"(+/- {100 * np.std(errs):.2f}) over {n_seeds} seeds")

@@ -160,6 +160,10 @@ def test_wrong_rng_algorithm(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="algorithm"):
         load_checkpoint(path)
+    blob[16] = 0xFF  # not ascii
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="algorithm"):
+        load_checkpoint(path)
 
 
 # Offsets of the u32 model-dimension fields in the header of a tiny_params

@@ -1,10 +1,17 @@
-import os
-
 import numpy as np
 import pytest
 
+import mixvae.train as train_mod
+from mixvae.checkpoint import load_checkpoint
 from mixvae.cli import main
-from mixvae.evaluation import load_grid_matrix
+from mixvae.config import apply_overrides, load_preset
+from mixvae.evaluation import (
+    incremental_class_accuracy,
+    incremental_task_accuracy,
+    load_grid_matrix,
+)
+from mixvae.model import generate
+from mixvae.rng import STREAM_EVAL, substream
 
 
 def toy_args(tmp_path, extra=()):
@@ -97,3 +104,90 @@ def test_knn_sweep_cli(tmp_path):
     text = (tmp_path / "sweep.csv").read_text()
     assert text.startswith("n_z,seed,knn_error\n")
     assert len(text.strip().split("\n")) == 3
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    """A trained toy run: (its directory, its CLI config args)."""
+    tmp = tmp_path_factory.mktemp("toy")
+    assert main(["train", *toy_args(tmp)]) == 0
+    return tmp / "run", toy_args(tmp)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("eval-valid", "empty valid split"),
+    ("latents-valid", "empty valid split"),
+    ("latents-dim", "input dim 16 != data dim 8"),
+    ("eval-dir", "Is a directory"),
+    ("samples-dir", "Is a directory"),
+])
+def test_read_commands_fail_with_error_line(toy_run, tmp_path, capsys, case, match):
+    run, args = toy_run
+    ckpt = str(run / "checkpoint.ckpt")
+    out = str(tmp_path / "out")
+    argv = {
+        "eval-valid": ["eval", *args, "--checkpoint", ckpt, "--split", "valid"],
+        "latents-valid": ["export-latents", *args, "--checkpoint", ckpt, "--split", "valid",
+                          "--out-file", out],
+        "latents-dim": ["export-latents", *args, "--set", "data.blob_dim=8",
+                        "--checkpoint", ckpt, "--out-file", out],
+        "eval-dir": ["eval", *args, "--checkpoint", str(run)],
+        "samples-dir": ["export-samples", "--checkpoint", str(run), "--out-file", out],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_export_samples_one_row_per_snapshot_in_step_order(tmp_path):
+    args = toy_args(tmp_path, extra=["--set", "replay.snapshot=fixed",
+                                     "--set", "replay.snapshot_period=100",
+                                     "--set", "expansion.enabled=false"])
+    assert main(["train", *args]) == 0
+    pgm, mat = tmp_path / "rows.pgm", tmp_path / "rows.mvmx"
+    assert main(["export-samples", "--snapshots-dir", str(tmp_path / "run"), "--n", "5",
+                 "--seed", "3", "--out-file", str(pgm), "--matrix-file", str(mat)]) == 0
+    samples = load_grid_matrix(mat)
+    assert samples.shape == (4 * 5, 16)
+    assert pgm.read_bytes().startswith(b"P5\n20 16\n255\n")  # 5 x 4 tiles of 4x4 pixels
+    for i, step in enumerate((99, 199, 299, 399)):
+        snap = load_checkpoint(tmp_path / "run" / f"snapshot-{step:07d}.ckpt")
+        assert snap.step == step
+        x, _ = generate(snap.params, snap.usage.prior(), 5,
+                        substream(3, STREAM_EVAL, 10 ** 6 + i))
+        assert np.array_equal(samples[5 * i:5 * (i + 1)], x)
+
+
+def test_supervised_eval_scores_its_split_loading_once(tmp_path, capsys, monkeypatch):
+    args = toy_args(tmp_path, extra=["--set", "mode=supervised",
+                                     "--set", "stream.mode=split_task",
+                                     "--set", "replay.mode=smgr"])
+    assert main(["train", *args]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.ckpt"
+    calls = {"load_checkpoint": 0, "build_datasets": 0}
+
+    def counted(name):
+        real = getattr(train_mod, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(train_mod, name, counted(name))
+    capsys.readouterr()
+    assert main(["eval", *args, "--checkpoint", str(ckpt), "--split", "train"]) == 0
+    assert calls == {"load_checkpoint": 1, "build_datasets": 1}
+    monkeypatch.undo()
+
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("step=400 cluster_acc=")
+    cfg = apply_overrides(load_preset("toy-blobs-mgr-dyn"),
+                          [v for flag, v in zip(args, args[1:]) if flag == "--set"])
+    train, _valid, test = train_mod.build_datasets(cfg)
+    assert len(train) != len(test)
+    params = load_checkpoint(ckpt).params
+    task = incremental_task_accuracy(params, train, ((0, 1), (2, 3)))
+    cls = incremental_class_accuracy(params, train)
+    assert lines[1] == f"incremental_task={task:.4f} incremental_class={cls:.4f}"

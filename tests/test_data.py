@@ -94,6 +94,17 @@ class TestMatrixFormat:
         with pytest.raises(DataFormatError, match="magic"):
             load_matrix_dataset(path)
 
+    @pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, tmp_path, pixel):
+        ds = Dataset(np.full((4, 3), 0.5), np.zeros(4, dtype=np.int64), n_classes=1)
+        path = tmp_path / "nan.mvds"
+        save_matrix_dataset(path, ds)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, len(blob) - 8 * 4 - 8 * 5, pixel)  # intensity 7 of 12
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="payload"):
+            load_matrix_dataset(path)
+
     def test_truncated(self, tmp_path):
         ds = Dataset(np.zeros((4, 3)), np.zeros(4, dtype=np.int64), n_classes=1)
         path = tmp_path / "t.mvds"

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_inputs, tiny_params
 from mixvae.adam import AdamState, adam_step
 from mixvae.model import backward, generate
-from mixvae.replay import Snapshot, SnapshotPolicy, UsageCounts, replay_step, take_snapshot
+from mixvae.replay import Snapshot, UsageCounts, replay_step, take_snapshot
 from mixvae.rng import RngState
 
 
@@ -71,25 +71,6 @@ class TestSnapshot:
         snap = take_snapshot(params, usage, 0)
         usage.update(np.tile(np.array([1.0, 0.0, 0.0]), (4, 1)))
         assert np.allclose(snap.prior(), 1 / 3)
-
-
-class TestSnapshotPolicy:
-    def test_fixed_period_counts(self):
-        policy = SnapshotPolicy("fixed", period=10)
-        fired = [s for s in range(100) if policy.fires_after_step(s)]
-        assert len(fired) == 10
-        assert fired[0] == 9
-        assert fired[-1] == 99
-
-    def test_dynamic_never_fires_on_step(self):
-        policy = SnapshotPolicy("dynamic")
-        assert not any(policy.fires_after_step(s) for s in range(50))
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SnapshotPolicy("sometimes")
-        with pytest.raises(ValueError):
-            SnapshotPolicy("fixed", period=0)
 
 
 class TestReplayStep:

@@ -81,6 +81,14 @@ class TestRunTrain:
             assert os.path.exists(path)
             assert load_checkpoint(path).is_snapshot
 
+    def test_dynamic_snapshot_ignores_the_period(self, tmp_path):
+        cfg = toy_cfg(tmp_path, steps=200,
+                      **{"replay.snapshot": "dynamic", "replay.snapshot_period": 50,
+                         "expansion.enabled": "false"})
+        result = run_train(cfg)
+        assert result.snapshot_steps == []
+        assert not any(n.startswith("snapshot-") for n in os.listdir(cfg.out_dir))
+
     def test_dynamic_snapshot_precedes_expansion_with_pre_expansion_k(self, tmp_path):
         cfg = toy_cfg(tmp_path, steps=1200, **{"expansion.c_new": -12.0})
         result = run_train(cfg)
@@ -281,3 +289,9 @@ class TestKnnSweep:
         assert len(results[2]) == 2
         assert out.exists()
         assert out.read_text().startswith("n_z,seed,knn_error\n")
+
+    @pytest.mark.parametrize("k", [0, 601])
+    def test_k_outside_the_train_subsample_is_a_config_error(self, tmp_path, k):
+        cfg = toy_cfg(tmp_path, **{"eval.knn_train_subsample": 600})
+        with pytest.raises(ConfigError, match=f"k={k} invalid"):
+            run_knn_sweep(cfg, dims=(2,), n_seeds=1, k=k)

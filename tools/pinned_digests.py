@@ -6,15 +6,22 @@ Imports `mixvae` from SRC_DIR (the `src/` directory of a checkout), runs
 each pinned config with its output directory under a temporary
 directory, and prints the first 16 hex digits of the sha256 of
 `metrics.csv`, `checkpoint.ckpt`, `per_class.csv` and every snapshot
-file. A refactor that must keep outputs byte-identical runs this on the
-parent's and the change's `src/` and compares the two listings. BLAS is
-pinned to one thread so that summation order does not depend on the
-machine's core count.
+file. The read side follows, each output made through `mixvae.cli.main`:
+for config (a) the `eval --csv` file, the `export-latents` CSV, the
+`export-samples` PGM and matrix in `--checkpoint` and `--snapshots-dir`
+modes, and the `knn-sweep` CSV with default settings and in mean mode
+with a 300-point test subsample; for config (d), which is supervised,
+the `eval` stdout. A refactor that must keep outputs byte-identical runs
+this on the parent's and the change's `src/` and compares the two
+listings. BLAS is pinned to one thread so that summation order does not
+depend on the machine's core count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -38,6 +45,44 @@ def digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
+def read_side(tag: str, preset: str, overrides: list[str], out: str) -> dict[str, str]:
+    """{output name: digest} of the read commands on one trained run."""
+    from mixvae.cli import main as cli
+
+    cfg_args = ["--preset", preset, "--out", out]
+    for item in overrides:
+        cfg_args += ["--set", item]
+    ckpt = os.path.join(out, "checkpoint.ckpt")
+    path = lambda name: os.path.join(out, "read-" + name)  # noqa: E731
+
+    def run(*argv: str) -> str:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli(list(argv))
+        if code != 0:
+            raise SystemExit(f"{tag}: mixvae {argv[0]} exited {code}")
+        return buf.getvalue()
+
+    if tag == "d":
+        with open(path("eval.stdout"), "w") as fh:
+            fh.write(run("eval", *cfg_args, "--checkpoint", ckpt))
+        return {"eval.stdout": digest(path("eval.stdout"))}
+    if tag != "a":
+        return {}
+    run("eval", *cfg_args, "--checkpoint", ckpt, "--csv", path("eval.csv"))
+    run("export-latents", *cfg_args, "--checkpoint", ckpt, "--out-file", path("latents.csv"))
+    run("export-samples", "--checkpoint", ckpt, "--out-file", path("samples.pgm"),
+        "--matrix-file", path("samples.mvmx"))
+    run("export-samples", "--snapshots-dir", out, "--n", "8",
+        "--out-file", path("snapshots.pgm"), "--matrix-file", path("snapshots.mvmx"))
+    run("knn-sweep", *cfg_args, "--csv", path("knn-sweep.csv"))
+    run("knn-sweep", *cfg_args, "--set", "eval.latent_mode=mean",
+        "--set", "eval.knn_test_subsample=300", "--csv", path("knn-sweep-mean300.csv"))
+    names = ["eval.csv", "latents.csv", "samples.pgm", "samples.mvmx", "snapshots.pgm",
+             "snapshots.mvmx", "knn-sweep.csv", "knn-sweep-mean300.csv"]
+    return {name: digest(path(name)) for name in names}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/pinned_digests.py SRC_DIR", file=sys.stderr)
@@ -54,6 +99,8 @@ def main(argv: list[str]) -> int:
             names += sorted(n for n in os.listdir(out) if n.startswith("snapshot-"))
             for name in names:
                 print(f"{tag} {preset} {name} {digest(os.path.join(out, name))}")
+            for name, value in read_side(tag, preset, overrides, out).items():
+                print(f"{tag} {preset} {name} {value}")
     return 0
 
 
