@@ -56,8 +56,6 @@ def test_bad_value_rejected():
 def test_choice_validation():
     with pytest.raises(ConfigError):
         parse_config("replay.mode = maybe\n")
-    with pytest.raises(ConfigError):
-        parse_config("replay.snapshot = sometimes\n")
 
 
 def test_range_validation():
@@ -65,8 +63,13 @@ def test_range_validation():
         parse_config("stream.total_steps = 0\n")
     with pytest.raises(ConfigError):
         parse_config("arch.k_init = 5\narch.k_max = 3\n")
+
+
+def test_bad_snapshot_rule_rejected():
     with pytest.raises(ConfigError):
-        parse_config("replay.snapshot_period = 0\n")
+        parse_config("replay.snapshot = sometimes\n")
+    with pytest.raises(ConfigError):
+        parse_config("replay.snapshot = fixed\nreplay.snapshot_period = 0\n")
 
 
 def test_task_pairs_syntax():
