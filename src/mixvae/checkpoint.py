@@ -15,7 +15,8 @@ fixed 96-byte head, one `HEAD` struct:
     n_dec, sizes...  u32 each  decoder hidden widths (output width is D)
     usage_total      u64
     parameter vector, f64: every buffer in model.param_spec order
-    Adam m vector, then Adam v vector, f64, same layout (zeros when absent)
+    Adam m vector, then Adam v vector, f64, same layout (zeros when absent,
+                     left as a hole the writer seeks over)
     usage accumulated, K x f64
 
 The three vectors are the `FlatBuffers` vectors of the parameters and
@@ -89,7 +90,12 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None,
                     usage: UsageCounts | None = None, step: int = 0,
                     snapshot: bool = False) -> None:
     """Assemble the header in memory, then write it, the parameter vector,
-    both Adam moment vectors and the usage counts to the file."""
+    both Adam moment vectors and the usage counts to the file.
+
+    Without moments (a snapshot, or an optimizer that has not stepped) the
+    writer seeks over their 2n zero floats instead of writing them: the
+    file gets a hole, which reads back as zeros, so its bytes are the same.
+    """
     adam = adam if adam is not None else AdamState()
     usage = usage if usage is not None else UsageCounts(params.k)
     if len(usage.accumulated) != params.k:
@@ -106,12 +112,15 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None,
     for widths in (arch.encoder, arch.decoder):
         out += struct.pack(f"<I{len(widths)}I", len(widths), *widths)
     out += struct.pack("<Q", usage.total_batches)
-    moments = ((adam.m.vector, adam.v.vector) if adam.m
-               else (np.zeros_like(params.vector),) * 2)
     with open(path, "wb") as fh:
         fh.write(out)
-        for vector in (params.vector, *moments, usage.accumulated):
-            _write_array(fh, vector)
+        _write_array(fh, params.vector)
+        if adam.m:
+            _write_array(fh, adam.m.vector)
+            _write_array(fh, adam.v.vector)
+        else:
+            fh.seek(2 * 8 * params.vector.size, os.SEEK_CUR)
+        _write_array(fh, usage.accumulated)
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .config import apply_overrides, load_preset, parse_config, preset_names
-from .errors import MixvaeError
+from .errors import ConfigError, MixvaeError
 from .evaluation import encode_eval_latents, export_latents_csv, export_samples
 from .rng import STREAM_EVAL, substream
 from .train import load_for_eval, run_eval, run_gradcheck, run_knn_sweep, run_train
@@ -148,7 +148,10 @@ def _dispatch(args) -> int:
 
     if args.command == "knn-sweep":
         cfg = _resolve_config(args)
-        dims = tuple(int(d) for d in args.dims.split(","))
+        try:
+            dims = tuple(int(d) for d in args.dims.split(","))
+        except ValueError:
+            raise ConfigError(f"--dims takes comma-separated integers, got {args.dims!r}") from None
         run_knn_sweep(cfg, dims=dims, n_seeds=args.seeds, k=args.k, out_csv=args.csv)
         return 0
 

@@ -62,10 +62,15 @@ def softplus(x) -> np.ndarray:
 
 
 def sigmoid(x) -> np.ndarray:
-    """Logistic function, overflow-safe on both tails."""
+    """Logistic function, overflow-safe on both tails.
+
+    With e = exp(-|x|), 1 / (1 + e) for x >= 0 and e / (1 + e) below: one
+    divide of the chosen numerator, which gives the same bits as the two
+    divides of the branch form.
+    """
     x = as_f64(x)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 
 
 def relu(x) -> np.ndarray:

@@ -23,11 +23,19 @@ reads one component per sample and decodes only those B rows.
 
 Gradients are computed by hand-written reverse mode over the cached
 forward pass, so forward and backward always see the same noise.
+
+`backward`, `elbo` and `supervised_elbo` decode into a `StepBuffers`
+object: the one set as `params.step_buffers`, or else a fresh one made
+for the call. A training run sets one for its whole length, so its steps
+allocate no decoder-sized array, and clears it before it writes its
+final checkpoint. What the functions return (the gradients and the
+`ElboBreakdown` arrays) is always new arrays, never views of the buffers.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -51,6 +59,16 @@ SIGMA_FLOOR = 1e-6
 # Bernoulli means are clamped to [BERNOULLI_EPS, 1 - BERNOULLI_EPS]
 # before any log-likelihood.
 BERNOULLI_EPS = 1e-6
+# Elements per block of the Bernoulli head's elementwise passes (256 KB
+# per float64 operand), so a block's operands stay in cache from one pass
+# to the next. A block holds whole samples: a toy batch is one block.
+HEAD_BLOCK = 32768
+# A `StepBuffers` block of at least this many bytes gets an anonymous memory
+# mapping of its own, which freeing returns to the system whole. glibc's
+# malloc maps blocks above 128 KiB too, but raises that threshold as mapped
+# blocks are freed, and a block it then places in the heap leaves a hole
+# there when freed, which the process keeps.
+MAPPED_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,16 @@ def _shapes(arch: Architecture, k: int) -> dict[str, tuple[int, ...]]:
     return {name: shape for name, shape, _ in param_spec(arch, k)}
 
 
+def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per shape, from its start."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 class FlatBuffers(Mapping):
     """Named arrays that are reshaped views of one contiguous float64 vector.
 
@@ -111,11 +139,7 @@ class FlatBuffers(Mapping):
                              f"of {sum(sizes)} float64 values")
         self.shapes = dict(shapes)
         self.vector = vector
-        self._views = {}
-        start = 0
-        for (name, shape), size in zip(self.shapes.items(), sizes):
-            self._views[name] = vector[start:start + size].reshape(shape)
-            start += size
+        self._views = dict(zip(self.shapes, _carve(vector, self.shapes.values())))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -157,6 +181,7 @@ class ModelParams(FlatBuffers):
         super().__init__(shapes, buffers)
         self.arch = arch
         self.k = k
+        self.step_buffers: StepBuffers | None = None  # set by a caller that owns one
         # (weight, bias) names of each "enc" and "dec" dense layer, input side
         # first; the registry lists each dense weight just before its bias.
         names = list(shapes)
@@ -165,7 +190,7 @@ class ModelParams(FlatBuffers):
                        for stack in ("enc", "dec")}
 
     def clone(self) -> "ModelParams":
-        """Independent copy: one copy of the parameter vector."""
+        """Independent copy: one copy of the parameter vector, without step buffers."""
         return ModelParams(self.arch, self.k, self.vector.copy())
 
     def add_component_copy(self, parent: int) -> None:
@@ -177,6 +202,48 @@ class ModelParams(FlatBuffers):
         vector = add_component_rows(self.arch, self.k, self.vector, parent)
         self.k += 1
         super().__init__(_shapes(self.arch, self.k), vector)
+
+
+class StepBuffers:
+    """Decoder work arrays of `backward` and `elbo`, reused from call to call.
+
+    All are views of one block, mapped on its own when it is large
+    (MAPPED_BLOCK_BYTES), so freeing it leaves no hole in the heap:
+    - per decoder hidden layer, the activations and the ReLU mask; in
+      reverse, each layer's gradient is written over its input's
+      activations;
+    - the output layer's logits, which the Bernoulli head overwrites with
+      the means and `backward` then with the logits' gradient, and the
+      clamp mask;
+    - the Bernoulli head's scratch blocks.
+    They hold the marginal decode of a batch, B*K rows, and the
+    constrained loss uses their first B rows. `fit` makes the block again
+    only when K changes (expansion) or a larger batch arrives, so a
+    long-lived object touches no new memory per step.
+    """
+
+    def __init__(self):
+        self.arch: Architecture | None = None
+        self.k = 0
+        self.rows = 0
+
+    def fit(self, params: ModelParams, batch: int) -> "StepBuffers":
+        """Make sure the buffers fit `params` and a batch of `batch` samples."""
+        rows = batch * params.k
+        if rows <= self.rows and (self.arch, self.k) == (params.arch, params.k):
+            return self
+        d, widths = params.arch.input_dim, params.arch.decoder
+        block = min(rows * d, max(HEAD_BLOCK, params.k * d))
+        floats = [*((rows, w) for w in widths), (rows, d), (3, block)]
+        bools = [*((rows, w) for w in widths), (rows, d), (block,)]
+        n_float = sum(math.prod(shape) for shape in floats)
+        size = 8 * n_float + sum(math.prod(shape) for shape in bools)
+        memory = (np.frombuffer(mmap.mmap(-1, size), np.uint8) if size >= MAPPED_BLOCK_BYTES
+                  else np.empty(size, np.uint8))
+        *self.acts, self.out, self.scratch = _carve(memory[:8 * n_float].view(np.float64), floats)
+        *self.masks, self.p_mask, self.flags = _carve(memory[8 * n_float:].view(np.bool_), bools)
+        self.arch, self.k, self.rows = params.arch, params.k, rows
+        return self
 
 
 def add_component_rows(arch: Architecture, k: int, vector: np.ndarray,
@@ -367,15 +434,23 @@ class _Cache:
     breakdown: ElboBreakdown
 
 
-def _dense_relu(h: np.ndarray, params: ModelParams, layers) -> tuple[np.ndarray, list]:
+def _dense_relu(h: np.ndarray, params: ModelParams, layers, outs=None) -> tuple[np.ndarray, list]:
     """ReLU MLP over the named (weight, bias) layers; returns the output and
-    each layer's (input, mask) for `_dense_relu_backward`."""
+    each layer's (input, mask) for `_dense_relu_backward`.
+
+    Layer i writes its activations and mask into outs[i], an (array, bool
+    array) pair, or into new arrays when `outs` is None. The bias add and
+    the ReLU run in place and give the bits of `where(a > 0, a, 0.0)`.
+    """
     cache = []
-    for w, b in layers:
-        a = h @ params[w].T + params[b]
-        mask = a > 0
+    for (w, b), (a, mask) in zip(layers, outs or [(None, None)] * len(layers)):
+        a = np.matmul(h, params[w].T, out=a)
+        a += params[b]
+        mask = np.greater(a, 0.0, out=mask)
+        np.fmax(a, 0.0, out=a)  # 0 for a <= 0 and for NaN
+        a += 0.0                # and +0.0 where a was -0.0
         cache.append((h, mask))
-        h = np.where(mask, a, 0.0)
+        h = a
     return h, cache
 
 
@@ -383,25 +458,88 @@ def _dense_relu_backward(g: np.ndarray, params: ModelParams, layers, cache,
                          grads: FlatBuffers) -> np.ndarray:
     """Reverse of `_dense_relu`: write each layer's gradients into its views
     in `grads` and return the gradient with respect to the first layer's
-    pre-activation."""
+    pre-activation.
+
+    Works in place: `g` is overwritten, and so is each layer's input after
+    the first, by the gradient of the layer that produced it.
+    """
     for i in reversed(range(len(layers))):
         (w, b), (h, mask) = layers[i], cache[i]
-        g = g * mask
+        np.multiply(g, mask, out=g)
         np.matmul(g.T, h, out=grads[w])
         g.sum(axis=0, out=grads[b])
         if i:
-            g = g @ params[w]
+            g = np.matmul(g, params[w], out=h)
     return g
 
 
+def _sample_blocks(shape: tuple[int, int, int]) -> list[slice]:
+    """Slices of whole samples of a (B, R, D) array, about HEAD_BLOCK elements each."""
+    b, r, d = shape
+    step = max(1, HEAD_BLOCK // (r * d))
+    return [slice(lo, lo + step) for lo in range(0, b, step)]
+
+
+def _bernoulli_head(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
+                    bufs: StepBuffers) -> np.ndarray:
+    """Bernoulli log-likelihood of x under the (B, R, D) logits `p`, in place.
+
+    Block by block, `p` becomes clip(sigmoid(logits)) and `p_mask` marks
+    where the clamp is inactive; returns the (B, R) sums over d of
+    x ln p + (1 - x) ln(1 - p). Every element goes through the operations
+    of the whole-array expressions in their order, so the bits are theirs.
+    """
+    recon = np.empty(p.shape[:2])
+    for s in _sample_blocks(p.shape):
+        pb, mb, xb = p[s], p_mask[s], x[s, None, :]
+        e, t = (row[:pb.size].reshape(pb.shape) for row in bufs.scratch[:2])
+        one_minus_x = bufs.scratch[2, :xb.size].reshape(xb.shape)
+        flag = bufs.flags[:pb.size].reshape(pb.shape)
+        # sigmoid, as kernels.sigmoid: where(o >= 0, 1, e) / (1 + e), e = exp(-|o|)
+        np.abs(pb, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.add(e, 1.0, out=t)
+        np.greater_equal(pb, 0.0, out=flag)
+        np.copyto(e, 1.0, where=flag)
+        np.divide(e, t, out=pb)
+        np.greater(pb, BERNOULLI_EPS, out=mb)
+        np.less(pb, 1.0 - BERNOULLI_EPS, out=flag)
+        mb &= flag
+        np.clip(pb, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS, out=pb)
+        np.log(pb, out=e)
+        e *= xb
+        np.negative(pb, out=t)
+        np.log1p(t, out=t)
+        np.subtract(1.0, xb, out=one_minus_x)
+        t *= one_minus_x
+        e += t
+        np.sum(e, axis=2, out=recon[s])
+    return recon
+
+
+def _bernoulli_head_backward(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
+                             g_r: np.ndarray) -> np.ndarray:
+    """Gradient of the logits, g_r (x - p) where the clamp is inactive,
+    written over the (B, R, D) means `p` block by block; g_r is (B, R)."""
+    for s in _sample_blocks(p.shape):
+        pb = p[s]
+        np.subtract(x[s, None, :], pb, out=pb)
+        pb *= g_r[s, :, None]
+        pb *= p_mask[s]
+    return p
+
+
 def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
-             y: np.ndarray | None = None) -> _Cache:
+             y: np.ndarray | None = None, bufs: StepBuffers | None = None) -> _Cache:
     """Cached forward pass of the marginalized objective, or of the
-    component-constrained one at labels y."""
+    component-constrained one at labels y, decoding into `bufs` (fresh
+    buffers when None)."""
     arch = params.arch
     b, k, nz = x.shape[0], params.k, arch.n_z
     if eps.shape != (b, k, nz):
         raise ShapeError(f"eps shape {eps.shape} != {(b, k, nz)}")
+    bufs = (StepBuffers() if bufs is None else bufs).fit(params, b)
 
     h, enc = _dense_relu(x, params, params.layers["enc"])
 
@@ -416,18 +554,19 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
     sig = softplus(rho) + SIGMA_FLOOR
     z = mu + sig * eps
 
-    # Decode every (sample, component) row, or only row (i, y_i) per sample.
+    # Decode every (sample, component) row, or only row (i, y_i) per sample,
+    # into the leading rows of the buffers.
     rows = np.arange(b)
     z_dec = z.reshape(b * k, nz) if y is None else z[rows, y]
+    n = z_dec.shape[0]
     *hidden, (w_out, b_out) = params.layers["dec"]
-    g, dec = _dense_relu(z_dec, params, hidden)
-    o = g @ params[w_out].T + params[b_out]
-    p_raw = sigmoid(o).reshape(b, -1, arch.input_dim)
-    p = np.clip(p_raw, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
-    p_mask = (p_raw > BERNOULLI_EPS) & (p_raw < 1.0 - BERNOULLI_EPS)
-
-    xb = x[:, None, :]
-    recon = np.sum(xb * np.log(p) + (1.0 - xb) * np.log1p(-p), axis=2)
+    g, dec = _dense_relu(z_dec, params, hidden,
+                         [(act[:n], mask[:n]) for act, mask in zip(bufs.acts, bufs.masks)])
+    o = np.matmul(g, params[w_out].T, out=bufs.out[:n])
+    o += params[b_out]
+    p = o.reshape(b, -1, arch.input_dim)
+    p_mask = bufs.p_mask[:n].reshape(p.shape)
+    recon = _bernoulli_head(x, p, p_mask, bufs)
 
     psig = softplus(params["prior_rho"]) + SIGMA_FLOOR
     var_ratio = (sig / psig[None]) ** 2
@@ -451,7 +590,8 @@ def draw_eps(params: ModelParams, batch: int, rng: RngState) -> np.ndarray:
 
 
 def _run_forward(x, params: ModelParams, rng: RngState, eps, y_obs=None):
-    """Checked cached forward pass; a single sample runs as a batch of one.
+    """Checked cached forward pass into `params.step_buffers`; a single
+    sample runs as a batch of one.
 
     Returns (cache, labels as an int array or None, whether x was a single sample).
     """
@@ -469,7 +609,7 @@ def _run_forward(x, params: ModelParams, rng: RngState, eps, y_obs=None):
             raise ShapeError(f"batch {xb.shape[0]} != labels {y.shape[0]}")
     if eps is None:
         eps = draw_eps(params, xb.shape[0], rng)
-    return _forward(params, xb, eps, y), y, single
+    return _forward(params, xb, eps, y, params.step_buffers), y, single
 
 
 def elbo(x: np.ndarray, params: ModelParams, rng: RngState,
@@ -494,7 +634,8 @@ def _backward(params: ModelParams, cache: _Cache,
     """Reverse-mode pass for the negative batch-mean objective.
 
     The gradients get a new vector in the parameters' layout on every call,
-    and each of its views is written exactly once.
+    and each of its views is written exactly once. The decoder's work
+    arrays in the cache are overwritten on the way.
     """
     arch = params.arch
     b, k, nz = cache.x.shape[0], params.k, arch.n_z
@@ -525,12 +666,13 @@ def _backward(params: ModelParams, cache: _Cache,
     g_h = g_t @ params["task_w"]
 
     # Reconstruction branch through the decoder, over the rows it decoded.
-    g_o = (g_r_dec[:, :, None] * (cache.x[:, None, :] - cache.p)
-           * cache.p_mask).reshape(-1, arch.input_dim)
+    g_o = _bernoulli_head_backward(cache.x, cache.p, cache.p_mask,
+                                   g_r_dec).reshape(-1, arch.input_dim)
     *hidden, (w_out, b_out) = params.layers["dec"]
     np.matmul(g_o.T, cache.g, out=grads[w_out])
     g_o.sum(axis=0, out=grads[b_out])
-    g_a0 = _dense_relu_backward(g_o @ params[w_out], params, hidden, cache.dec, grads)
+    g_a0 = _dense_relu_backward(np.matmul(g_o, params[w_out], out=cache.g), params, hidden,
+                                cache.dec, grads)
     g_z_dec = g_a0 @ params[hidden[0][0]]
     if y_obs is None:
         g_z = g_z_dec.reshape(b, k, nz)

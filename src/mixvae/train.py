@@ -42,7 +42,16 @@ from .expansion import (
     should_expand,
 )
 from .kernels import finite_difference_grad
-from .model import Architecture, ModelParams, backward, draw_eps, elbo, init_params, relu_margin
+from .model import (
+    Architecture,
+    ModelParams,
+    StepBuffers,
+    backward,
+    draw_eps,
+    elbo,
+    init_params,
+    relu_margin,
+)
 from .replay import Snapshot, UsageCounts, replay_step, take_snapshot
 from .rng import (
     STREAM_DATASET,
@@ -138,6 +147,9 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
     arch = Architecture(input_dim=train.dim, encoder=cfg.arch.encoder, n_z=cfg.arch.n_z,
                         decoder=cfg.arch.decoder, k_max=cfg.arch.k_max)
     params = init_params(arch, substream(cfg.seed, STREAM_INIT), cfg.arch.k_init)
+    # Every backward and elbo of the run, the expansion finetunes included,
+    # decodes into these buffers.
+    params.step_buffers = StepBuffers()
     adam = AdamState(lr=cfg.opt.lr, beta1=cfg.opt.beta1, beta2=cfg.opt.beta2, eps=cfg.opt.eps)
     usage = UsageCounts(params.k)
     buffer = PoorSampleBuffer(cfg.expansion.n_new, cfg.expansion.c_new,
@@ -234,6 +246,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
                     fh.write(f"{step},{cls},{_fmt(acc)}\n")
             logged = (len(snapshot_steps), len(exp_state.expansion_log))
 
+    params.step_buffers = None  # freed before the final checkpoint write
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.ckpt")
     save_checkpoint(ckpt_path, params, adam, usage, spec.total_steps)
     return TrainResult(out_dir=cfg.out_dir, metrics_path=metrics_path,

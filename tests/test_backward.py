@@ -188,3 +188,69 @@ def test_single_component_constrained_equals_marginal(batch):
     assert loss_c == loss_m
     for name, g in grads_m.items():
         np.testing.assert_array_equal(grads_c[name], g, err_msg=name)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_step_buffers_give_the_bits_of_fresh_calls():
+    # one buffer object through marginal and constrained batches of several
+    # sizes and an expansion K -> K+1; every call matches a call on a clone,
+    # which decodes into fresh buffers
+    params = tiny_params(seed=7, k=2)
+    params.step_buffers = bufs = model.StepBuffers()
+    rng = RngState(7, (35,))
+    held = []
+    for i, (batch, constrained) in enumerate([(5, False), (5, True), (9, False), (3, True),
+                                              (0, None), (3, True), (9, False), (1, False),
+                                              (9, True)]):
+        if batch == 0:
+            params.add_component_copy(1)
+            continue
+        x = random_inputs(batch, 6, seed=90 + i)
+        eps = draw_eps(params, batch, rng)
+        y = rng.integers(params.k, size=batch) if constrained else None
+        fresh = params.clone()
+        assert fresh.step_buffers is None
+        loss, grads, bd = backward(x, params, None, y_obs=y, eps=eps)
+        want_loss, want_grads, want_bd = backward(x, fresh, None, y_obs=y, eps=eps)
+        assert loss == want_loss
+        assert grads.shapes == params.shapes and same_bits(grads.vector, want_grads.vector)
+        assert not np.shares_memory(grads.vector, bufs.out)
+        marginal, want_marginal = (model.elbo(x, p, None, eps=eps) for p in (params, fresh))
+        for name in ("task_posterior", "recon_per_component", "gauss_kl_per_component",
+                     "cat_kl", "total"):
+            assert same_bits(getattr(marginal, name), getattr(want_marginal, name)), name
+        if constrained:
+            assert same_bits(supervised_elbo(x, y, params, None, eps=eps),
+                             supervised_elbo(x, y, fresh, None, eps=eps))
+        held.append((bd, want_bd, marginal, want_marginal))
+    # a breakdown is new arrays, so no later call has changed one
+    for bd, want_bd, marginal, want_marginal in held:
+        for got, want in ((bd, want_bd), (marginal, want_marginal)):
+            for name in ("task_posterior", "recon_per_component", "gauss_kl_per_component",
+                         "cat_kl", "total"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None and b is None) or same_bits(a, b), name
+
+
+def test_step_buffers_are_made_again_only_for_a_new_layout_or_a_larger_batch():
+    params = tiny_params(seed=8, k=2)
+    params.step_buffers = bufs = model.StepBuffers()
+    x = random_inputs(6, 6, seed=8)
+
+    def run(batch, y_obs=None):
+        eps = draw_eps(params, batch, RngState(batch, (36,)))
+        backward(x[:batch], params, None, y_obs=y_obs, eps=eps)
+        return bufs.out
+
+    first = run(6)
+    assert bufs.rows == 12 and first.shape == (12, 6)
+    assert run(4) is first and run(6, y_obs=np.zeros(6, dtype=int)) is first
+    assert bufs.rows == 12
+    params.add_component_copy(0)
+    grown = run(4)
+    assert grown is not first and bufs.rows == 12 and bufs.k == 3
+    assert run(6) is not grown and bufs.rows == 18

@@ -120,6 +120,7 @@ def toy_run(tmp_path_factory):
     ("latents-dim", "input dim 16 != data dim 8"),
     ("eval-dir", "Is a directory"),
     ("samples-dir", "Is a directory"),
+    ("knn-dims", "--dims takes comma-separated integers, got '2,x'"),
 ])
 def test_read_commands_fail_with_error_line(toy_run, tmp_path, capsys, case, match):
     run, args = toy_run
@@ -133,6 +134,7 @@ def test_read_commands_fail_with_error_line(toy_run, tmp_path, capsys, case, mat
                         "--checkpoint", ckpt, "--out-file", out],
         "eval-dir": ["eval", *args, "--checkpoint", str(run)],
         "samples-dir": ["export-samples", "--checkpoint", str(run), "--out-file", out],
+        "knn-dims": ["knn-sweep", *args, "--dims", "2,x", "--csv", out],
     }[case]
     assert main(argv) == 1
     err = capsys.readouterr().err

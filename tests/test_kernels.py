@@ -109,6 +109,15 @@ class TestSigmoid:
     def test_nan_stays_nan(self):
         assert np.isnan(sigmoid(np.array([np.nan, 1.0]))[0])
 
+    def test_one_divide_gives_the_bits_of_the_two_divide_form(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0]
+        x = np.concatenate([20.0 * RngState(4, (41,)).normal(2000), edges])
+        e = np.exp(-np.abs(x))
+        with np.errstate(invalid="ignore"):
+            want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            got = sigmoid(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestFiniteDifferences:
     def test_quadratic(self):

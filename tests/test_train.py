@@ -7,7 +7,7 @@ from mixvae.checkpoint import load_checkpoint
 from mixvae.config import apply_overrides, load_preset
 from mixvae.data import next_batch
 from mixvae.errors import ConfigError
-from mixvae.model import elbo
+from mixvae.model import StepBuffers, elbo
 from mixvae.rng import RngState, STREAM_EVAL, STREAM_SHUFFLE, substream
 from mixvae.train import (
     METRICS_HEADER,
@@ -38,6 +38,20 @@ class TestRunTrain:
         assert len(lines) == 1 + 600 // 200
         assert os.path.exists(result.checkpoint_path)
         assert os.path.exists(os.path.join(cfg.out_dir, "config.txt"))
+
+    def test_one_step_buffer_object_for_the_run_freed_at_its_end(self, tmp_path, monkeypatch):
+        used = []
+        fit = StepBuffers.fit
+
+        def recording_fit(self, params, batch):
+            used.append(self)
+            return fit(self, params, batch)
+        monkeypatch.setattr(StepBuffers, "fit", recording_fit)
+        # 600 steps: real and replay batches, an expansion with its finetune, eval steps
+        result = run_train(toy_cfg(tmp_path))
+        assert result.expansion_log and result.snapshot_steps
+        assert len(used) > 600 and all(bufs is used[0] for bufs in used)
+        assert result.params.step_buffers is None
 
     def test_seed_determinism_byte_identical(self, tmp_path):
         cfg_a = toy_cfg(tmp_path / "a")

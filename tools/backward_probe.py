@@ -7,14 +7,19 @@ times `model.backward` at batch 64 on the 784 -> 1200 -> 600 -> 300 -> 150
 encoder, n_z 32 and the 500 -> 500 decoder, for K = 1, 10 and 25, under
 the marginalized loss and under the component-constrained loss (labels
 drawn uniformly over the K components). Inputs are seeded uniform
-values in [0, 1]. Each cell is the median of 5 timed calls after one
-untimed call. BLAS is pinned to one thread, as in perfbench, so that the
-numbers do not depend on the machine's core count.
+values in [0, 1]. The calls decode into one `StepBuffers` object set on
+the parameters, as in `run_train`; a checkout without `StepBuffers`
+gets fresh arrays on every call. Each cell is the median wall time of 5
+timed calls after one untimed call, then the minor page faults and the
+system CPU time per timed call (`resource.getrusage` over the 5 calls).
+BLAS is pinned to one thread, as in perfbench, so that the numbers do
+not depend on the machine's core count.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import sys
 import time
 
@@ -32,17 +37,21 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, os.path.abspath(argv[0]))
     import numpy as np
+    from mixvae import model
     from mixvae.model import Architecture, backward, draw_eps, init_params
     from mixvae.rng import RngState
 
     arch = Architecture(input_dim=784, encoder=(1200, 600, 300, 150), n_z=32,
                         decoder=(500, 500), k_max=max(KS))
-    print(f"backward ms, batch {BATCH}, one BLAS thread, median of {REPEATS}")
+    print(f"backward ms (median of {REPEATS}), minor faults and system ms per call; "
+          f"batch {BATCH}, one BLAS thread")
     print("| K | marginal loss | constrained loss |")
     print("|---|---|---|")
     for k in KS:
         rng = RngState(0, (k,))
         params = init_params(arch, rng, k_init=k)
+        if hasattr(model, "StepBuffers"):
+            params.step_buffers = model.StepBuffers()
         x = rng.uniform(0.0, 1.0, (BATCH, arch.input_dim))
         eps = draw_eps(params, BATCH, rng)
         y = rng.integers(k, size=BATCH)
@@ -50,11 +59,16 @@ def main(argv: list[str]) -> int:
         for y_obs in (None, y):
             backward(x, params, None, y_obs=y_obs, eps=eps)
             times = []
+            r0 = resource.getrusage(resource.RUSAGE_SELF)
             for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 backward(x, params, None, y_obs=y_obs, eps=eps)
                 times.append(time.perf_counter() - t0)
-            cells.append(f"{1e3 * float(np.median(times)):.0f} ms")
+            r1 = resource.getrusage(resource.RUSAGE_SELF)
+            faults = (r1.ru_minflt - r0.ru_minflt) / REPEATS
+            sys_ms = 1e3 * (r1.ru_stime - r0.ru_stime) / REPEATS
+            cells.append(f"{1e3 * float(np.median(times)):.0f} ms, {faults:.0f} faults, "
+                         f"{sys_ms:.1f} sys ms")
         print(f"| {k} | {cells[0]} | {cells[1]} |")
     return 0
 
