@@ -63,12 +63,6 @@ BERNOULLI_EPS = 1e-6
 # per float64 operand), so a block's operands stay in cache from one pass
 # to the next. A block holds whole samples: a toy batch is one block.
 HEAD_BLOCK = 32768
-# A `StepBuffers` block of at least this many bytes gets an anonymous memory
-# mapping of its own, which freeing returns to the system whole. glibc's
-# malloc maps blocks above 128 KiB too, but raises that threshold as mapped
-# blocks are freed, and a block it then places in the heap leaves a hole
-# there when freed, which the process keeps.
-MAPPED_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,13 @@ class ModelParams(FlatBuffers):
 class StepBuffers:
     """Decoder work arrays of `backward` and `elbo`, reused from call to call.
 
-    All are views of one block, mapped on its own when it is large
-    (MAPPED_BLOCK_BYTES), so freeing it leaves no hole in the heap:
+    All are views of one anonymous memory mapping, which freeing returns
+    to the system whole. A block from malloc would change where glibc puts
+    later allocations: freeing a mapped malloc block raises the size below
+    which it serves requests from the heap, and a block placed in the heap
+    leaves a hole there when freed, which the process keeps (with blocks
+    from `np.empty`, toy-stream's peak RSS rose by 7 MB in 4 of 10 runs).
+    The views:
     - per decoder hidden layer, the activations and the ReLU mask; in
       reverse, each layer's gradient is written over its input's
       activations;
@@ -238,8 +237,7 @@ class StepBuffers:
         bools = [*((rows, w) for w in widths), (rows, d), (block,)]
         n_float = sum(math.prod(shape) for shape in floats)
         size = 8 * n_float + sum(math.prod(shape) for shape in bools)
-        memory = (np.frombuffer(mmap.mmap(-1, size), np.uint8) if size >= MAPPED_BLOCK_BYTES
-                  else np.empty(size, np.uint8))
+        memory = np.frombuffer(mmap.mmap(-1, size), np.uint8)
         *self.acts, self.out, self.scratch = _carve(memory[:8 * n_float].view(np.float64), floats)
         *self.masks, self.p_mask, self.flags = _carve(memory[8 * n_float:].view(np.bool_), bools)
         self.arch, self.k, self.rows = params.arch, params.k, rows
@@ -492,7 +490,8 @@ def _bernoulli_head(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
     recon = np.empty(p.shape[:2])
     for s in _sample_blocks(p.shape):
         pb, mb, xb = p[s], p_mask[s], x[s, None, :]
-        e, t = (row[:pb.size].reshape(pb.shape) for row in bufs.scratch[:2])
+        e = bufs.scratch[0, :pb.size].reshape(pb.shape)
+        t = bufs.scratch[1, :pb.size].reshape(pb.shape)
         one_minus_x = bufs.scratch[2, :xb.size].reshape(xb.shape)
         flag = bufs.flags[:pb.size].reshape(pb.shape)
         # sigmoid, as kernels.sigmoid: where(o >= 0, 1, e) / (1 + e), e = exp(-|o|)
@@ -514,7 +513,7 @@ def _bernoulli_head(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
         np.subtract(1.0, xb, out=one_minus_x)
         t *= one_minus_x
         e += t
-        np.sum(e, axis=2, out=recon[s])
+        np.add.reduce(e, axis=2, out=recon[s])
     return recon
 
 
@@ -714,7 +713,7 @@ def _backward(params: ModelParams, cache: _Cache,
 
 def relu_margin(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> float:
     """Smallest |input| of any encoder or decoder ReLU unit at inputs x and noise eps."""
-    cache = _forward(params, as_f64(x), eps)
+    cache = _forward(params, as_f64(x), eps, bufs=params.step_buffers)
     layers = params.layers["enc"] + params.layers["dec"][:-1]
     return min(float(np.min(np.abs(h @ params[w].T + params[b])))
                for (w, b), (h, _) in zip(layers, cache.enc + cache.dec))

@@ -311,8 +311,10 @@ GRADCHECK_KINK_MARGIN = 10.0
 def grad_rel_errors(params: ModelParams, grads: Mapping[str, np.ndarray],
                     loss: Callable[[ModelParams], float], h: float) -> dict[str, float]:
     """Max relative error of each analytic gradient buffer against central
-    differences of loss(params). One clone is perturbed a buffer at a time."""
+    differences of loss(params). One clone is perturbed a buffer at a time;
+    it decodes into step buffers of its own for all its calls."""
     trial = params.clone()
+    trial.step_buffers = StepBuffers()
     out = {}
     for name, buf in trial.buffers():
         def f(v, buf=buf):
@@ -335,10 +337,12 @@ def run_gradcheck(seed: int = 0, n_configs: int = 5, h: float = 1e-5, verbose: b
     """
     arch = Architecture(input_dim=6, encoder=(5, 4), n_z=2, decoder=(4, 5), k_max=4)
     worst = {"marginal": {}, "constrained": {}}
+    bufs = StepBuffers()  # every config's net has the same layout and batch
     for i in range(n_configs):
         rng = substream(seed, STREAM_INIT, i)
         while True:
             params = init_params(arch, rng, k_init=3)
+            params.step_buffers = bufs
             for name, buf in params.buffers():
                 if "b." in name or "prior" in name or name == "task_b":
                     buf += 0.3 * rng.normal(buf.shape)

@@ -254,3 +254,50 @@ def test_step_buffers_are_made_again_only_for_a_new_layout_or_a_larger_batch():
     grown = run(4)
     assert grown is not first and bufs.rows == 12 and bufs.k == 3
     assert run(6) is not grown and bufs.rows == 18
+
+
+def _all_outputs(params, x, eps, y):
+    """Loss, gradient vector and elbo fields of both loss paths at (x, eps, y)."""
+    out = []
+    for y_obs in (None, y):
+        loss, grads, _ = backward(x, params, None, y_obs=y_obs, eps=eps)
+        out += [loss, grads.vector]
+    bd = model.elbo(x, params, None, eps=eps)
+    out += [bd.task_posterior, bd.recon_per_component, bd.gauss_kl_per_component, bd.cat_kl,
+            bd.total, supervised_elbo(x, y, params, None, eps=eps)]
+    return out
+
+
+@pytest.mark.parametrize("head_block", [7, 24, 30])
+@pytest.mark.parametrize("batch", [1, 5, 9])
+def test_bernoulli_head_in_many_blocks_gives_the_bits_of_one(monkeypatch, head_block, batch):
+    # At K=2 and D=6 a sample is 12 head elements under the marginal loss and
+    # 6 under the constrained one: 7 makes one block per sample, 24 and 30
+    # make blocks of several samples whose last block is partial.
+    params = tiny_params(seed=11, k=2)
+    x = random_inputs(batch, 6, seed=batch)
+    eps = draw_eps(params, batch, RngState(batch, (37,)))
+    y = RngState(batch, (38,)).integers(params.k, size=batch)
+    assert model.HEAD_BLOCK >= batch * params.k * 6  # the default is one block
+    want = _all_outputs(params, x, eps, y)
+    monkeypatch.setattr(model, "HEAD_BLOCK", head_block)
+    assert len(model._sample_blocks((batch, params.k, 6))) == -(-batch // max(1, head_block // 12))
+    params.step_buffers = model.StepBuffers()
+    for got in (_all_outputs(params, x, eps, y), _all_outputs(params.clone(), x, eps, y)):
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert same_bits(a, b), i
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_reconstruction_has_the_bits_of_the_whole_array_expressions(k):
+    # elbo's blocked Bernoulli head against decode() and
+    # bernoulli_log_likelihood(), which evaluate it over whole arrays
+    params = tiny_params(seed=12, k=k)
+    x = random_inputs(5, 6, seed=12)
+    eps = draw_eps(params, 5, RngState(12, (39,)))
+    h = model.encode_shared(x, params)
+    z = np.stack([mu + sig * eps[:, j] for j in range(k)
+                  for mu, sig in [model.component_posterior_params(h, j, params)]], axis=1)
+    want = model.bernoulli_log_likelihood(np.repeat(x[:, None, :], k, axis=1),
+                                          model.decode(z, params))
+    assert same_bits(model.elbo(x, params, None, eps=eps).recon_per_component, want)
