@@ -64,7 +64,7 @@ def zero_moments(params: FlatBuffers) -> tuple[FlatBuffers, FlatBuffers]:
     moment vectors raised `wide-k1-iid`'s peak RSS.
     """
     block = np.zeros((2, params.vector.size))
-    return FlatBuffers(params.shapes, block[0]), FlatBuffers(params.shapes, block[1])
+    return tuple(FlatBuffers(params.shapes, row, params.spans) for row in block)
 
 
 def adam_step(params: FlatBuffers, grads: FlatBuffers, state: AdamState) -> None:

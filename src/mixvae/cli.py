@@ -112,6 +112,8 @@ def _dispatch(args) -> int:
         if bool(args.checkpoint) == bool(args.snapshots_dir):
             raise MixvaeError("export-samples needs exactly one of --checkpoint "
                               "or --snapshots-dir")
+        if args.n < 1:
+            raise ConfigError(f"need at least one sample per checkpoint, got {args.n}")
         if args.checkpoint:
             paths, cols = [args.checkpoint], 10
         else:
@@ -152,6 +154,8 @@ def _dispatch(args) -> int:
             dims = tuple(int(d) for d in args.dims.split(","))
         except ValueError:
             raise ConfigError(f"--dims takes comma-separated integers, got {args.dims!r}") from None
+        if min(dims) < 1 or args.seeds < 1:
+            raise ConfigError(f"--dims and --seeds need values >= 1, got {dims}, {args.seeds}")
         run_knn_sweep(cfg, dims=dims, n_seeds=args.seeds, k=args.k, out_csv=args.csv)
         return 0
 

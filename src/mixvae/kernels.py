@@ -39,11 +39,11 @@ def log_sum_exp(v: np.ndarray, axis: int = -1) -> np.ndarray:
 def log_softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """v - log_sum_exp(v); always finite for finite inputs."""
     v = as_f64(v)
-    m = np.max(v, axis=axis, keepdims=True)
-    if not np.all(np.isfinite(m)):
+    m = np.maximum.reduce(v, axis=axis, keepdims=True)
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise NumericError("log_softmax requires finite inputs")
     shifted = v - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -51,26 +51,26 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.exp(log_softmax(v, axis=axis))
 
 
-def softplus(x) -> np.ndarray:
-    """ln(1 + e^x) in overflow-safe branch form: max(x,0) + log1p(e^-|x|).
+def softplus(x, e: np.ndarray | None = None) -> np.ndarray:
+    """ln(1 + e^x) in branch form: max(x,0) + log1p(e), e = e^-|x| (`e` when given).
 
     Strictly positive for all x above the subnormal underflow point
     (~ -744); below that e^x has no float64 representation at all.
     """
     x = as_f64(x)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)) if e is None else e)
 
 
-def sigmoid(x) -> np.ndarray:
+def sigmoid(x, e: np.ndarray | None = None) -> np.ndarray:
     """Logistic function, overflow-safe on both tails.
 
-    With e = exp(-|x|), 1 / (1 + e) for x >= 0 and e / (1 + e) below: one
-    divide of the chosen numerator, which gives the same bits as the two
-    divides of the branch form.
+    With e = exp(-|x|) (`e` when given), 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below: one divide of maximum(e, x >= 0), as e <= 1, which
+    gives the same bits as the two divides of the branch form.
     """
     x = as_f64(x)
-    e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
+    e = np.exp(-np.abs(x)) if e is None else e
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def relu(x) -> np.ndarray:

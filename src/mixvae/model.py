@@ -38,7 +38,7 @@ import math
 import mmap
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -121,19 +121,23 @@ class FlatBuffers(Mapping):
     The views tile `vector` in the order of `shapes`, so a write through
     `self[name]` reaches the vector, and one pass over the vector (an Adam
     update, a copy, a file write) covers every buffer. `self[name] = a`
-    copies `a` into the view.
+    copies `a` into the view. `spans` lists each buffer's (name, start,
+    stop, shape); passing them reuses a layout.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], vector: np.ndarray | None = None):
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        vector = np.zeros(sum(sizes)) if vector is None else vector
-        if (vector.shape != (sum(sizes),) or vector.dtype != np.float64
+    def __init__(self, shapes: dict[str, tuple[int, ...]], vector: np.ndarray | None = None,
+                 spans: tuple | None = None):
+        if spans is None:
+            shapes, stops = dict(shapes), list(accumulate(map(math.prod, shapes.values())))
+            spans = tuple(zip(shapes, [0] + stops[:-1], stops, shapes.values()))
+        size = spans[-1][2] if spans else 0
+        vector = np.zeros(size) if vector is None else vector
+        if (vector.shape != (size,) or vector.dtype != np.float64
                 or not vector.flags.c_contiguous):
             raise ShapeError(f"{vector.dtype} vector of shape {vector.shape} for a layout "
-                             f"of {sum(sizes)} float64 values")
-        self.shapes = dict(shapes)
-        self.vector = vector
-        self._views = dict(zip(self.shapes, _carve(vector, self.shapes.values())))
+                             f"of {size} float64 values")
+        self.shapes, self.spans, self.vector = shapes, spans, vector
+        self._views = {name: vector[lo:hi].reshape(shape) for name, lo, hi, shape in spans}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -419,7 +423,9 @@ class _Cache:
     enc: list           # (input, relu mask) per encoder layer
     h: np.ndarray
     ln_q: np.ndarray
+    ln_qk: np.ndarray   # ln q + ln K, the categorical KL's log term
     rho: np.ndarray
+    e_rho: np.ndarray   # exp(-|rho|), which softplus and sigmoid share
     mu: np.ndarray
     sig: np.ndarray
     eps: np.ndarray
@@ -432,7 +438,7 @@ class _Cache:
     breakdown: ElboBreakdown
 
 
-def _dense_relu(h: np.ndarray, params: ModelParams, layers, outs=None) -> tuple[np.ndarray, list]:
+def _dense_relu(h: np.ndarray, params: FlatBuffers, layers, outs=None) -> tuple[np.ndarray, list]:
     """ReLU MLP over the named (weight, bias) layers; returns the output and
     each layer's (input, mask) for `_dense_relu_backward`.
 
@@ -440,10 +446,10 @@ def _dense_relu(h: np.ndarray, params: ModelParams, layers, outs=None) -> tuple[
     array) pair, or into new arrays when `outs` is None. The bias add and
     the ReLU run in place and give the bits of `where(a > 0, a, 0.0)`.
     """
-    cache = []
+    views, cache = params._views, []
     for (w, b), (a, mask) in zip(layers, outs or [(None, None)] * len(layers)):
-        a = np.matmul(h, params[w].T, out=a)
-        a += params[b]
+        a = np.matmul(h, views[w].T, out=a)
+        a += views[b]
         mask = np.greater(a, 0.0, out=mask)
         np.fmax(a, 0.0, out=a)  # 0 for a <= 0 and for NaN
         a += 0.0                # and +0.0 where a was -0.0
@@ -452,7 +458,7 @@ def _dense_relu(h: np.ndarray, params: ModelParams, layers, outs=None) -> tuple[
     return h, cache
 
 
-def _dense_relu_backward(g: np.ndarray, params: ModelParams, layers, cache,
+def _dense_relu_backward(g: np.ndarray, params: FlatBuffers, layers, cache,
                          grads: FlatBuffers) -> np.ndarray:
     """Reverse of `_dense_relu`: write each layer's gradients into its views
     in `grads` and return the gradient with respect to the first layer's
@@ -461,13 +467,14 @@ def _dense_relu_backward(g: np.ndarray, params: ModelParams, layers, cache,
     Works in place: `g` is overwritten, and so is each layer's input after
     the first, by the gradient of the layer that produced it.
     """
+    views, out = params._views, grads._views
     for i in reversed(range(len(layers))):
         (w, b), (h, mask) = layers[i], cache[i]
         np.multiply(g, mask, out=g)
-        np.matmul(g.T, h, out=grads[w])
-        g.sum(axis=0, out=grads[b])
+        np.matmul(g.T, h, out=out[w])
+        np.add.reduce(g, axis=0, out=out[b])
         if i:
-            g = np.matmul(g, params[w], out=h)
+            g = np.matmul(g, views[w], out=h)
     return g
 
 
@@ -494,18 +501,19 @@ def _bernoulli_head(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
         t = bufs.scratch[1, :pb.size].reshape(pb.shape)
         one_minus_x = bufs.scratch[2, :xb.size].reshape(xb.shape)
         flag = bufs.flags[:pb.size].reshape(pb.shape)
-        # sigmoid, as kernels.sigmoid: where(o >= 0, 1, e) / (1 + e), e = exp(-|o|)
+        # sigmoid, as kernels.sigmoid: maximum(e, o >= 0) / (1 + e), e = exp(-|o|)
         np.abs(pb, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
         np.add(e, 1.0, out=t)
         np.greater_equal(pb, 0.0, out=flag)
-        np.copyto(e, 1.0, where=flag)
+        np.maximum(e, flag, out=e)
         np.divide(e, t, out=pb)
         np.greater(pb, BERNOULLI_EPS, out=mb)
         np.less(pb, 1.0 - BERNOULLI_EPS, out=flag)
         mb &= flag
-        np.clip(pb, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS, out=pb)
+        np.maximum(pb, BERNOULLI_EPS, out=pb)  # the clamp, as np.clip
+        np.minimum(pb, 1.0 - BERNOULLI_EPS, out=pb)
         np.log(pb, out=e)
         e *= xb
         np.negative(pb, out=t)
@@ -517,24 +525,12 @@ def _bernoulli_head(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
     return recon
 
 
-def _bernoulli_head_backward(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
-                             g_r: np.ndarray) -> np.ndarray:
-    """Gradient of the logits, g_r (x - p) where the clamp is inactive,
-    written over the (B, R, D) means `p` block by block; g_r is (B, R)."""
-    for s in _sample_blocks(p.shape):
-        pb = p[s]
-        np.subtract(x[s, None, :], pb, out=pb)
-        pb *= g_r[s, :, None]
-        pb *= p_mask[s]
-    return p
-
-
 def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
              y: np.ndarray | None = None, bufs: StepBuffers | None = None) -> _Cache:
     """Cached forward pass of the marginalized objective, or of the
     component-constrained one at labels y, decoding into `bufs` (fresh
     buffers when None)."""
-    arch = params.arch
+    arch, views = params.arch, params._views
     b, k, nz = x.shape[0], params.k, arch.n_z
     if eps.shape != (b, k, nz):
         raise ShapeError(f"eps shape {eps.shape} != {(b, k, nz)}")
@@ -542,45 +538,46 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
 
     h, enc = _dense_relu(x, params, params.layers["enc"])
 
-    ln_q = log_softmax(h @ params["task_w"].T + params["task_b"], axis=1)
+    ln_q = log_softmax(h @ views["task_w"].T + views["task_b"], axis=1)
     q = np.exp(ln_q)
 
-    # All K latent heads as one (B, H) x (H, K*2*n_z) matmul.
-    a = ((h @ params["lat_w"].reshape(k * 2 * nz, -1).T).reshape(b, k, 2 * nz)
-         + params["lat_b"][None])
-    mu = a[:, :, :nz]
-    rho = a[:, :, nz:]
-    sig = softplus(rho) + SIGMA_FLOOR
+    # All K latent heads as one (B, H) x (H, K*2*n_z) matmul; mu, rho contiguous.
+    a = (h @ views["lat_w"].reshape(k * 2 * nz, -1).T).reshape(b, k, 2 * nz)
+    mu = a[:, :, :nz] + views["lat_b"][:, :nz]
+    rho = a[:, :, nz:] + views["lat_b"][:, nz:]
+    e_rho = np.exp(-np.abs(rho))
+    sig = softplus(rho, e_rho) + SIGMA_FLOOR
     z = mu + sig * eps
 
     # Decode every (sample, component) row, or only row (i, y_i) per sample,
     # into the leading rows of the buffers.
-    rows = np.arange(b)
-    z_dec = z.reshape(b * k, nz) if y is None else z[rows, y]
+    z_dec = z.reshape(b * k, nz) if y is None else z[np.arange(b), y]
     n = z_dec.shape[0]
     *hidden, (w_out, b_out) = params.layers["dec"]
     g, dec = _dense_relu(z_dec, params, hidden,
                          [(act[:n], mask[:n]) for act, mask in zip(bufs.acts, bufs.masks)])
-    o = np.matmul(g, params[w_out].T, out=bufs.out[:n])
-    o += params[b_out]
+    o = np.matmul(g, views[w_out].T, out=bufs.out[:n])
+    o += views[b_out]
     p = o.reshape(b, -1, arch.input_dim)
     p_mask = bufs.p_mask[:n].reshape(p.shape)
     recon = _bernoulli_head(x, p, p_mask, bufs)
 
-    psig = softplus(params["prior_rho"]) + SIGMA_FLOOR
-    var_ratio = (sig / psig[None]) ** 2
-    delta = (mu - params["prior_mu"][None]) / psig[None]
-    klg = np.sum(np.log(psig[None] / sig) + 0.5 * (var_ratio + delta * delta) - 0.5, axis=2)
+    psig = softplus(views["prior_rho"]) + SIGMA_FLOOR
+    delta = (mu - views["prior_mu"]) / psig
+    klg = np.add.reduce(np.log(psig / sig) + 0.5 * ((sig / psig) ** 2 + delta * delta) - 0.5,
+                        axis=2)
 
-    cat_kl = np.sum(q * (ln_q + np.log(k)), axis=1)
+    ln_qk = ln_q + np.log(k)
+    cat_kl = np.add.reduce(q * ln_qk, axis=1)
     if y is None:
-        value = np.sum(q * (recon - klg), axis=1) - cat_kl
+        value = np.add.reduce(q * (recon - klg), axis=1) - cat_kl
         breakdown = ElboBreakdown(q, recon, klg, cat_kl, value)
     else:
+        rows = np.arange(b)
         value = recon[:, 0] - klg[rows, y] + ln_q[rows, y]
         breakdown = ElboBreakdown(q, None, None, cat_kl, None)
-    return _Cache(x, enc, h, ln_q, rho, mu, sig, eps, dec, g, p, p_mask, psig, value,
-                  breakdown)
+    return _Cache(x, enc, h, ln_q, ln_qk, rho, e_rho, mu, sig, eps, dec, g, p, p_mask, psig,
+                  value, breakdown)
 
 
 def draw_eps(params: ModelParams, batch: int, rng: RngState) -> np.ndarray:
@@ -636,23 +633,24 @@ def _backward(params: ModelParams, cache: _Cache,
     and each of its views is written exactly once. The decoder's work
     arrays in the cache are overwritten on the way.
     """
-    arch = params.arch
+    arch, views = params.arch, params._views
     b, k, nz = cache.x.shape[0], params.k, arch.n_z
     scale = -1.0 / b
-    grads = FlatBuffers(params.shapes, np.empty(params.vector.size))
+    grads = FlatBuffers(params.shapes, np.empty(params.vector.size), params.spans)
+    out = grads._views
     bd = cache.breakdown
     q = bd.task_posterior
-    rows = np.arange(b)
-    loss = float(-np.mean(cache.value))
+    loss = -(float(np.add.reduce(cache.value)) / b)
 
     if y_obs is None:
         # d total / d r_k = q_k ; d total / d q_k = r_k - ln(q_k K) - 1
         g_r = scale * q
         r = bd.recon_per_component - bd.gauss_kl_per_component
-        g_q = scale * (r - (cache.ln_q + np.log(k)) - 1.0)
-        g_t = q * (g_q - np.sum(q * g_q, axis=1, keepdims=True))
+        g_q = scale * (r - cache.ln_qk - 1.0)
+        g_t = q * (g_q - np.add.reduce(q * g_q, axis=1, keepdims=True))
         g_r_dec = g_r
     else:
+        rows = np.arange(b)
         onehot = np.zeros((b, k))
         onehot[rows, y_obs] = 1.0
         g_r = scale * onehot
@@ -660,19 +658,23 @@ def _backward(params: ModelParams, cache: _Cache,
         g_r_dec = g_r[rows, y_obs][:, None]
 
     # Task head.
-    np.matmul(g_t.T, cache.h, out=grads["task_w"])
-    g_t.sum(axis=0, out=grads["task_b"])
-    g_h = g_t @ params["task_w"]
+    np.matmul(g_t.T, cache.h, out=out["task_w"])
+    np.add.reduce(g_t, axis=0, out=out["task_b"])
+    g_h = g_t @ views["task_w"]
 
-    # Reconstruction branch through the decoder, over the rows it decoded.
-    g_o = _bernoulli_head_backward(cache.x, cache.p, cache.p_mask,
-                                   g_r_dec).reshape(-1, arch.input_dim)
+    # Reconstruction branch through the decoder, over the rows it decoded: the
+    # logits' gradient g_r (x - p) where the clamp is inactive, over p by blocks.
+    for s in _sample_blocks(cache.p.shape):
+        np.subtract(cache.x[s, None, :], cache.p[s], out=cache.p[s])
+        cache.p[s] *= g_r_dec[s, :, None]
+        cache.p[s] *= cache.p_mask[s]
+    g_o = cache.p.reshape(-1, arch.input_dim)
     *hidden, (w_out, b_out) = params.layers["dec"]
-    np.matmul(g_o.T, cache.g, out=grads[w_out])
-    g_o.sum(axis=0, out=grads[b_out])
-    g_a0 = _dense_relu_backward(np.matmul(g_o, params[w_out], out=cache.g), params, hidden,
+    np.matmul(g_o.T, cache.g, out=out[w_out])
+    np.add.reduce(g_o, axis=0, out=out[b_out])
+    g_a0 = _dense_relu_backward(np.matmul(g_o, views[w_out], out=cache.g), params, hidden,
                                 cache.dec, grads)
-    g_z_dec = g_a0 @ params[hidden[0][0]]
+    g_z_dec = g_a0 @ views[hidden[0][0]]
     if y_obs is None:
         g_z = g_z_dec.reshape(b, k, nz)
     else:
@@ -680,30 +682,23 @@ def _backward(params: ModelParams, cache: _Cache,
         g_z[rows, y_obs] = g_z_dec
 
     # Gaussian KL branch, which holds the prior table's gradients.
-    g_klg = -g_r
-    psig = cache.psig[None]
-    pmu = params["prior_mu"][None]
+    g_klg = -g_r[:, :, None]
+    psig, sig, d = cache.psig, cache.sig, cache.mu - views["prior_mu"]
     inv_p2 = 1.0 / (psig * psig)
-    g_mu = g_klg[:, :, None] * (cache.mu - pmu) * inv_p2
-    g_sig = g_klg[:, :, None] * (cache.sig * inv_p2 - 1.0 / cache.sig)
-    np.sum(g_klg[:, :, None] * (pmu - cache.mu) * inv_p2, axis=0, out=grads["prior_mu"])
-    g_psig = np.sum(
-        g_klg[:, :, None]
-        * (1.0 / psig - (cache.sig ** 2 + (cache.mu - pmu) ** 2) / psig ** 3),
-        axis=0)
-    np.multiply(g_psig, sigmoid(params["prior_rho"]), out=grads["prior_rho"])
+    np.add.reduce(g_klg * (views["prior_mu"] - cache.mu) * inv_p2, axis=0, out=out["prior_mu"])
+    g_psig = np.add.reduce(g_klg * (1.0 / psig - (sig ** 2 + d ** 2) / psig ** 3), axis=0)
+    np.multiply(g_psig, sigmoid(views["prior_rho"]), out=out["prior_rho"])
 
     # Reparameterization.
-    g_mu = g_mu + g_z
-    g_sig = g_sig + g_z * cache.eps
+    g_mu = g_klg * d * inv_p2 + g_z
+    g_sig = g_klg * (sig * inv_p2 - 1.0 / sig) + g_z * cache.eps
 
     # Latent heads: first half mean, second half softplus pre-variance.
-    g_a = np.concatenate([g_mu, g_sig * sigmoid(cache.rho)], axis=2)
+    g_a = np.concatenate([g_mu, g_sig * sigmoid(cache.rho, cache.e_rho)], axis=2)
     g_a_flat = g_a.reshape(b, k * 2 * nz)
-    lat_w = params["lat_w"]
-    np.matmul(g_a_flat.T, cache.h, out=grads["lat_w"].reshape(k * 2 * nz, -1))
-    g_a.sum(axis=0, out=grads["lat_b"])
-    g_h = g_h + g_a_flat @ lat_w.reshape(k * 2 * nz, -1)
+    np.matmul(g_a_flat.T, cache.h, out=out["lat_w"].reshape(k * 2 * nz, -1))
+    np.add.reduce(g_a, axis=0, out=out["lat_b"])
+    g_h += g_a_flat @ views["lat_w"].reshape(k * 2 * nz, -1)
 
     # Shared encoder.
     _dense_relu_backward(g_h, params, params.layers["enc"], cache.enc, grads)
@@ -733,7 +728,7 @@ def backward(x: np.ndarray, params: ModelParams, rng: RngState,
     """
     cache, y, _ = _run_forward(x, params, rng, eps, y_obs)
     loss, grads = _backward(params, cache, y)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")
     return loss, grads, cache.breakdown
 
@@ -747,7 +742,7 @@ def generate(params: ModelParams, pi: np.ndarray, n: int, rng: RngState):
     pi = as_f64(pi)
     if pi.shape != (params.k,):
         raise ValueError(f"pi length {pi.shape} != K={params.k}")
-    if np.any(pi < 0) or abs(float(np.sum(pi)) - 1.0) > 1e-9:
+    if np.minimum.reduce(pi) < 0 or abs(float(np.add.reduce(pi)) - 1.0) > 1e-9:
         raise ValueError("pi must be a normalized probability vector")
     y = rng.categorical(pi, n)
     eps = rng.normal((n, params.arch.n_z))

@@ -28,9 +28,10 @@ class UsageCounts:
         q = np.asarray(q_batch, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] != self.accumulated.shape[0]:
             raise ValueError(f"posterior batch shape {q.shape} does not match K={len(self.accumulated)}")
-        if not np.allclose(q.sum(axis=1), 1.0, atol=1e-6):
+        # np.allclose(row sums, 1, atol=1e-6) as one bound test; NaN fails it
+        if not np.logical_and.reduce(np.abs(np.add.reduce(q, axis=1) - 1.0) <= 1e-6 + 1e-5):
             raise ValueError("posterior rows must sum to 1")
-        self.accumulated += q.mean(axis=0)
+        self.accumulated += np.add.reduce(q, axis=0) / q.shape[0]  # q.mean(axis=0)
         self.total_batches += 1
 
     def grow(self, new_k: int) -> None:
@@ -46,7 +47,7 @@ class UsageCounts:
         if self.total_batches == 0:
             return np.full(len(self.accumulated), 1.0 / len(self.accumulated))
         p = self.accumulated / self.total_batches
-        return p / p.sum()
+        return p / np.add.reduce(p)
 
     def copy(self) -> "UsageCounts":
         out = UsageCounts(len(self.accumulated))

@@ -335,6 +335,8 @@ def run_gradcheck(seed: int = 0, n_configs: int = 5, h: float = 1e-5, verbose: b
     redrawn from the same sub-stream, so every config is smooth across
     each +-h step. Returns (per-buffer max relative error by path, passed).
     """
+    if n_configs < 1:
+        raise ConfigError(f"gradcheck needs at least one config, got {n_configs}")
     arch = Architecture(input_dim=6, encoder=(5, 4), n_z=2, decoder=(4, 5), k_max=4)
     worst = {"marginal": {}, "constrained": {}}
     bufs = StepBuffers()  # every config's net has the same layout and batch

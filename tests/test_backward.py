@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_forms as ref
 from conftest import fd_check, forward_loss, random_inputs, tiny_params
 from mixvae import model
 from mixvae.model import backward, draw_eps, supervised_elbo
@@ -301,3 +302,70 @@ def test_reconstruction_has_the_bits_of_the_whole_array_expressions(k):
     want = model.bernoulli_log_likelihood(np.repeat(x[:, None, :], k, axis=1),
                                           model.decode(z, params))
     assert same_bits(model.elbo(x, params, None, eps=eps).recon_per_component, want)
+
+
+@pytest.mark.parametrize("head_block", [None, 7, 30])
+@pytest.mark.parametrize("k, batch", [(1, 1), (2, 5), (3, 2), (4, 9)])
+def test_passes_give_the_bits_of_the_whole_array_forms(monkeypatch, head_block, k, batch):
+    # backward, elbo and supervised_elbo against the plain expressions in
+    # reference_forms, in one head block and in many, on fresh buffers and
+    # on step buffers reused across both loss paths
+    if head_block is not None:
+        monkeypatch.setattr(model, "HEAD_BLOCK", head_block)
+    params = tiny_params(seed=20 + k, k=k)
+    x = random_inputs(batch, 6, seed=batch + k)
+    eps = draw_eps(params, batch, RngState(batch, (40,)))
+    y = RngState(batch, (41,)).integers(k, size=batch)
+    for bufs in (None, model.StepBuffers()):
+        params.step_buffers = bufs
+        for y_obs in (None, y):
+            want_loss, want_grads, want_fields, want_values = ref.forward_backward(
+                params, x, eps, y_obs)
+            loss, grads, bd = backward(x, params, None, y_obs=y_obs, eps=eps)
+            assert loss == want_loss
+            assert ref.same_bits(grads.vector, want_grads.vector)
+            for name, want in want_fields.items():
+                got = getattr(bd, name)
+                assert (got is None and want is None) or ref.same_bits(got, want), name
+            if y_obs is None:
+                assert ref.same_bits(model.elbo(x, params, None, eps=eps).total, want_values)
+            else:
+                assert ref.same_bits(supervised_elbo(x, y_obs, params, None, eps=eps),
+                                     want_values)
+
+
+def _head_logits(batch, r, d):
+    """(B, R, D) logits: random values and, in order, every edge the head's
+    sigmoid, clamp and mask treat apart, including logits whose means land
+    at and next to BERNOULLI_EPS and 1 - BERNOULLI_EPS."""
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0]
+    lo = np.log(ref.EPS / (1.0 - ref.EPS))
+    edges += list(lo + np.arange(-8, 9) * np.spacing(lo))
+    edges += list(-lo + np.arange(-40, 41) * 5e-11)  # means step by half an ulp of 1 - EPS
+    o = 20.0 * RngState(d, (42,)).normal(batch * r * d)
+    o[:len(edges)] = edges
+    return o.reshape(batch, r, d)
+
+
+@pytest.mark.parametrize("head_block", [None, 7, 24, 30])
+def test_bernoulli_head_gives_the_bits_of_the_whole_array_forms(monkeypatch, head_block):
+    # the in-place head, in one block and in many, against sigmoid with
+    # np.where, np.clip and np.sum over logits at every edge
+    if head_block is not None:
+        monkeypatch.setattr(model, "HEAD_BLOCK", head_block)
+    batch, r, d = 20, 2, 6  # 240 logits: 107 edges, the rest random
+    o = _head_logits(batch, r, d)
+    x = random_inputs(batch, d, seed=43)
+    x[0, :3] = [0.0, 1.0, 0.5]
+    with np.errstate(invalid="ignore"):
+        want_p, want_mask, want_recon = ref.bernoulli_head(x, o)
+        p, mask = o.copy(), np.empty(o.shape, dtype=bool)
+        recon = model._bernoulli_head(x, p, mask, model.StepBuffers().fit(tiny_params(k=r), batch))
+    assert ref.same_bits(p, want_p) and ref.same_bits(mask, want_mask)
+    assert ref.same_bits(recon, want_recon)
+    s = ref.sigmoid(o[np.isfinite(o)])  # the means before the clamp hit every side of it
+    top, bottom = 1.0 - ref.EPS, ref.EPS
+    assert np.any(s == top)
+    assert np.any((s < top) & (s > top - 1e-15)) and np.any((s > top) & (s < top + 1e-15))
+    assert np.any((s < bottom) & (s > bottom * (1 - 1e-14)))
+    assert np.any((s > bottom) & (s < bottom * (1 + 1e-14)))

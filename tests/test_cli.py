@@ -65,6 +65,14 @@ def test_gradcheck_cli(monkeypatch, capsys, corrupt_lat_w):
     assert main(["gradcheck", "--configs", "1"]) == 0
 
 
+@pytest.mark.parametrize("configs", ["0", "-2"])
+def test_gradcheck_cli_rejects_checking_no_config(capsys, configs):
+    assert main(["gradcheck", "--configs", configs]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err == f"error: gradcheck needs at least one config, got {configs}\n"
+
+
 def test_seed_and_set_overrides(tmp_path):
     args = toy_args(tmp_path, extra=["--seed", "5"])
     assert main(["train", *args]) == 0
@@ -121,11 +129,18 @@ def toy_run(tmp_path_factory):
     ("eval-dir", "Is a directory"),
     ("samples-dir", "Is a directory"),
     ("knn-dims", "--dims takes comma-separated integers, got '2,x'"),
+    ("samples-n0-snapshots", "need at least one sample per checkpoint, got 0"),
+    ("samples-n0-checkpoint", "need at least one sample per checkpoint, got 0"),
+    ("knn-dims0", "--dims and --seeds need values >= 1, got (2, 0), 3"),
+    ("knn-seeds0", "--dims and --seeds need values >= 1, got (2,), 0"),
 ])
 def test_read_commands_fail_with_error_line(toy_run, tmp_path, capsys, case, match):
     run, args = toy_run
     ckpt = str(run / "checkpoint.ckpt")
     out = str(tmp_path / "out")
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    (snaps / "snapshot-0000000.ckpt").write_bytes((run / "checkpoint.ckpt").read_bytes())
     argv = {
         "eval-valid": ["eval", *args, "--checkpoint", ckpt, "--split", "valid"],
         "latents-valid": ["export-latents", *args, "--checkpoint", ckpt, "--split", "valid",
@@ -135,6 +150,12 @@ def test_read_commands_fail_with_error_line(toy_run, tmp_path, capsys, case, mat
         "eval-dir": ["eval", *args, "--checkpoint", str(run)],
         "samples-dir": ["export-samples", "--checkpoint", str(run), "--out-file", out],
         "knn-dims": ["knn-sweep", *args, "--dims", "2,x", "--csv", out],
+        "samples-n0-snapshots": ["export-samples", "--snapshots-dir", str(snaps), "--n", "0",
+                                 "--out-file", out],
+        "samples-n0-checkpoint": ["export-samples", "--checkpoint", ckpt, "--n", "0",
+                                  "--out-file", out],
+        "knn-dims0": ["knn-sweep", *args, "--dims", "2,0", "--csv", out],
+        "knn-seeds0": ["knn-sweep", *args, "--dims", "2", "--seeds", "0", "--csv", out],
     }[case]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import reference_forms as ref
 from mixvae.errors import NumericError
 from mixvae.kernels import (
     finite_difference_grad,
+    log_softmax,
     log_sum_exp,
     sigmoid,
     softmax,
     softplus,
 )
+from mixvae.model import BERNOULLI_EPS
 from mixvae.rng import RngState
+from reference_forms import same_bits
 
 
 class TestLogSumExp:
@@ -72,6 +76,13 @@ class TestSoftplus:
         assert out > 0
         assert out == pytest.approx(math.exp(-40), rel=1e-6)
 
+    def test_passed_exp_term_gives_the_same_bits(self):
+        x = np.concatenate([RngState(10, (3,)).uniform(-800, 800, 1000),
+                            [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0]])
+        want = ref.softplus(x)
+        assert same_bits(softplus(x), want)
+        assert same_bits(softplus(x, np.exp(-np.abs(x))), want)
+
     def test_positivity_and_gap_property(self):
         rng = RngState(9, (3,))
         x = rng.uniform(-700, 700, 1000)
@@ -117,6 +128,52 @@ class TestSigmoid:
             want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
             got = sigmoid(x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_maximum_numerator_gives_the_bits_of_where(self):
+        # maximum(e, x >= 0) for where(x >= 0, 1, e), with e computed here or passed in
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+                 BERNOULLI_EPS, -BERNOULLI_EPS, 1.0 - BERNOULLI_EPS, BERNOULLI_EPS - 1.0]
+        edges += [np.nextafter(v, t) for v in edges[9:] for t in (-np.inf, np.inf)]
+        x = np.concatenate([20.0 * RngState(5, (41,)).normal(2000), edges])
+        with np.errstate(invalid="ignore"):
+            want = ref.sigmoid(x)
+            assert same_bits(sigmoid(x), want)
+            assert same_bits(sigmoid(x, np.exp(-np.abs(x))), want)
+            assert same_bits(sigmoid(x[::3]), want[::3])  # a strided view
+            for v in edges:
+                assert same_bits(sigmoid(v), ref.sigmoid(np.float64(v)))
+
+
+class TestBernoulliClamp:
+    def test_maximum_then_minimum_gives_the_bits_of_clip(self):
+        # the Bernoulli head's clamp, at, next to and beyond both bounds
+        lo, hi = BERNOULLI_EPS, 1.0 - BERNOULLI_EPS
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0]
+        edges += [np.nextafter(v, t) for v in (lo, hi) for t in (-np.inf, np.inf)] + [lo, hi]
+        p = np.concatenate([RngState(6, (41,)).uniform(-0.5, 1.5, 2000), edges])
+        got = p.copy()
+        np.maximum(got, lo, out=got)
+        np.minimum(got, hi, out=got)
+        assert same_bits(got, np.clip(p, lo, hi))
+
+
+class TestLogSoftmax:
+    def test_ufunc_reductions_give_the_bits_of_the_wrappers(self):
+        v = 30.0 * RngState(7, (41,)).normal((50, 6))
+        v[0] = [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300]
+        v[1] = 745.0
+        v[2, :3] = -746.0
+        for axis in (0, 1, -1):
+            assert same_bits(log_softmax(v, axis=axis), ref.log_softmax(v, axis=axis))
+        assert same_bits(log_softmax(v[3]), ref.log_softmax(v[3]))
+
+    @pytest.mark.parametrize("bad_row", [[0.0, np.inf, 0.0], [np.nan, 0.0, 1.0],
+                                         [-np.inf, -np.inf, -np.inf]])
+    def test_a_row_with_a_non_finite_max_is_rejected(self, bad_row):
+        v = np.zeros((3, 3))
+        v[1] = bad_row
+        with pytest.raises(NumericError):
+            log_softmax(v, axis=1)
 
 
 class TestFiniteDifferences:

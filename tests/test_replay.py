@@ -40,6 +40,34 @@ class TestUsageCounts:
         with pytest.raises(ValueError):
             counts.update(np.full((2, 3), 0.4))
 
+    @pytest.mark.parametrize("excess, accepted", [(1.0e-5, True), (-1.0e-5, True),
+                                                  (2e-5, False), (-2e-5, False),
+                                                  (np.nan, False), (np.inf, False)])
+    def test_row_sum_tolerance_is_allcloses(self, excess, accepted):
+        # one row summing to 1 + excess, judged as np.allclose(sums, 1, atol=1e-6) judges it
+        q = np.full((3, 2), 0.5)
+        q[1, 0] += excess
+        assert bool(np.allclose(q.sum(axis=1), 1.0, atol=1e-6)) == accepted
+        counts = UsageCounts(2)
+        if accepted:
+            counts.update(q)
+            assert counts.total_batches == 1
+        else:
+            with pytest.raises(ValueError):
+                counts.update(q)
+            assert counts.total_batches == 0 and not np.any(counts.accumulated)
+
+    def test_update_adds_the_bits_of_the_column_mean(self):
+        counts = UsageCounts(4)
+        want = np.zeros(4)
+        rng = RngState(1, (61,))
+        for batch in (1, 7, 64):
+            logits = 5.0 * rng.normal((batch, 4))
+            q = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+            counts.update(q)
+            want += q.mean(axis=0)
+        assert counts.accumulated.tobytes() == want.tobytes()
+
     def test_grow_pads_zeros(self):
         counts = UsageCounts(2)
         counts.update(np.full((4, 2), 0.5))

@@ -1,4 +1,5 @@
-"""Wall time of one `backward` call on the full-scale MNIST architecture.
+"""Wall time of one `backward` call on the full-scale MNIST architecture
+and on two small nets.
 
 Usage: python3 tools/backward_probe.py SRC_DIR
 
@@ -12,6 +13,12 @@ the parameters, as in `run_train`; a checkout without `StepBuffers`
 gets fresh arrays on every call. Each cell is the median wall time of 5
 timed calls after one untimed call, then the minor page faults and the
 system CPU time per timed call (`resource.getrusage` over the 5 calls).
+
+A second table times the calls whose cost is per-call overhead rather
+than arithmetic, in microseconds: the toy net of the blob presets
+(16 -> 32 -> 16 encoder, n_z 4, 16 -> 32 decoder, batch 64, K 4) and
+the gradcheck net (6 -> 5 -> 4 encoder, n_z 2, 4 -> 5 decoder, batch 2,
+K 3). Each cell is the median over 25 rounds of the mean of 40 calls.
 BLAS is pinned to one thread, as in perfbench, so that the numbers do
 not depend on the machine's core count.
 """
@@ -29,6 +36,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 BATCH = 64
 KS = (1, 10, 25)
 REPEATS = 5
+# (name, Architecture keywords, batch, K) of the small nets.
+SMALL_NETS = (
+    ("toy", dict(input_dim=16, encoder=(32, 16), n_z=4, decoder=(16, 32), k_max=8), 64, 4),
+    ("gradcheck", dict(input_dim=6, encoder=(5, 4), n_z=2, decoder=(4, 5), k_max=4), 2, 3),
+)
+ROUNDS, CALLS = 25, 40
 
 
 def main(argv: list[str]) -> int:
@@ -70,6 +83,29 @@ def main(argv: list[str]) -> int:
             cells.append(f"{1e3 * float(np.median(times)):.0f} ms, {faults:.0f} faults, "
                          f"{sys_ms:.1f} sys ms")
         print(f"| {k} | {cells[0]} | {cells[1]} |")
+
+    print(f"\nbackward us (median over {ROUNDS} rounds of {CALLS} calls), one BLAS thread")
+    print("| net | batch | K | marginal loss | constrained loss |")
+    print("|---|---|---|---|---|")
+    for name, shape, batch, k in SMALL_NETS:
+        rng = RngState(1, (k,))
+        params = init_params(Architecture(**shape), rng, k_init=k)
+        if hasattr(model, "StepBuffers"):
+            params.step_buffers = model.StepBuffers()
+        x = rng.uniform(0.0, 1.0, (batch, shape["input_dim"]))
+        eps = draw_eps(params, batch, rng)
+        y = rng.integers(k, size=batch)
+        cells = []
+        for y_obs in (None, y):
+            backward(x, params, None, y_obs=y_obs, eps=eps)
+            rounds = []
+            for _ in range(ROUNDS):
+                t0 = time.perf_counter()
+                for _ in range(CALLS):
+                    backward(x, params, None, y_obs=y_obs, eps=eps)
+                rounds.append((time.perf_counter() - t0) / CALLS)
+            cells.append(f"{1e6 * float(np.median(rounds)):.0f} us")
+        print(f"| {name} | {batch} | {k} | {cells[0]} | {cells[1]} |")
     return 0
 
 
