@@ -10,9 +10,9 @@ non-stationary streams.
 from .adam import AdamState, adam_step
 from .config import ExperimentConfig, load_preset, parse_config, preset_names, serialize_config
 from .data import Dataset, StreamSpec, load_idx, make_blob_dataset, next_batch
-from .evaluation import EvalReport, cluster_accuracy, evaluate, knn_error
+from .evaluation import EvalReport, cluster_accuracy, evaluate
 from .expansion import ExpansionState, PoorSampleBuffer, expand, select_parent
-from .kernels import finite_difference_grad, log_sum_exp, softmax, softplus
+from .kernels import finite_difference_grad, softplus
 from .model import (
     Architecture,
     ElboBreakdown,

@@ -54,6 +54,18 @@ class AdamState:
         self._scratch = np.empty((2, 0))  # two blocks of min(CHUNK, n), made by adam_step
 
 
+def hyperparameter_problem(lr: float, beta1: float, beta2: float, eps: float) -> str | None:
+    """The first setting that breaks Adam's rule, as "<name> must be ...";
+    None when lr and eps are finite and positive and both betas in [0, 1)."""
+    for name, value, ok, rule in (("lr", lr, 0 < lr < np.inf, "finite and positive"),
+                                  ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
+                                  ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
+                                  ("eps", eps, 0 < eps < np.inf, "finite and positive")):
+        if not ok:
+            return f"{name} must be {rule}, got {value}"
+    return None
+
+
 def zero_moments(params: FlatBuffers) -> tuple[FlatBuffers, FlatBuffers]:
     """Zero first and second moments in the parameters' layout.
 

@@ -23,7 +23,8 @@ The three vectors are the `FlatBuffers` vectors of the parameters and
 the moments, so the body takes three large writes and the same bytes as
 writing each buffer in turn. Float payloads are written as numpy '<f8'
 buffers and read back into fresh float64 arrays, so save -> load -> save
-is byte-identical.
+is byte-identical. Loading rejects a non-finite value in the four vectors
+and optimizer settings that break Adam's rule (`adam.hyperparameter_problem`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adam import AdamState, zero_moments
+from .adam import AdamState, hyperparameter_problem, zero_moments
 from .errors import CheckpointError
 from .model import Architecture, ModelParams, param_spec
 from .replay import UsageCounts
@@ -147,6 +148,8 @@ def _read_checkpoint(rd: _Reader) -> LoadedCheckpoint:
         widths.append(rd.unpack(f"<{n_layers}I", f"{part} sizes"))
     enc, dec = widths
     (usage_total,) = rd.unpack("<Q", "usage total")
+    if problem := hyperparameter_problem(lr, b1, b2, eps):
+        raise CheckpointError(f"checkpoint optimizer {problem}")
 
     if not 1 <= k <= k_max or not (enc and dec) or 0 in (n_z, input_dim) + enc + dec:
         raise CheckpointError(f"bad model dims: K={k}, K_max={k_max}, n_z={n_z}, D={input_dim}, "
@@ -165,6 +168,9 @@ def _read_checkpoint(rd: _Reader) -> LoadedCheckpoint:
     adam.m, adam.v = zero_moments(params)
     usage = UsageCounts(k)
     usage.total_batches = usage_total
-    for vector in (params.vector, adam.m.vector, adam.v.vector, usage.accumulated):
+    for field, vector in (("parameter", params.vector), ("Adam m", adam.m.vector),
+                          ("Adam v", adam.v.vector), ("usage count", usage.accumulated)):
         rd.fill(vector)
+        if not np.isfinite(vector).all():
+            raise CheckpointError(f"non-finite {field} value")
     return LoadedCheckpoint(params, adam, usage, int(step), bool(flags & FLAG_SNAPSHOT))

@@ -14,8 +14,10 @@ as `a:b` comma-separated.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 
+from .adam import hyperparameter_problem
 from .data import STREAM_MODES
 from .errors import ConfigError
 
@@ -119,7 +121,7 @@ _CHOICES = {
 
 _POSITIVE = {
     "stream.total_steps", "stream.batch_size", "arch.n_z", "arch.k_init",
-    "arch.k_max", "opt.lr", "expansion.n_new", "expansion.finetune_batch",
+    "arch.k_max", "expansion.n_new", "expansion.finetune_batch",
     "replay.snapshot_period", "eval.cadence", "data.blob_classes",
     "data.blob_dim", "data.blob_train_per_class", "data.blob_test_per_class",
 }
@@ -201,6 +203,11 @@ def _set(cfg: ExperimentConfig, key: str, value) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    for key, typ in SCHEMA:
+        if typ is float and not math.isfinite(_get(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {_get(cfg, key)}")
+    if problem := hyperparameter_problem(cfg.opt.lr, cfg.opt.beta1, cfg.opt.beta2, cfg.opt.eps):
+        raise ConfigError(f"opt.{problem}")
     for key, choices in _CHOICES.items():
         v = _get(cfg, key)
         if v not in choices:

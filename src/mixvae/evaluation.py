@@ -182,12 +182,6 @@ def knn_errors(train_latents: np.ndarray, train_labels: np.ndarray,
     return {k: 1.0 - correct[k] / n_test for k in ks}
 
 
-def knn_error(train_latents: np.ndarray, train_labels: np.ndarray,
-              test_latents: np.ndarray, test_labels: np.ndarray, k: int) -> float:
-    """Single-k convenience wrapper around knn_errors."""
-    return knn_errors(train_latents, train_labels, test_latents, test_labels, (k,))[k]
-
-
 def evaluate(params: ModelParams, test_dataset: Dataset, train_dataset: Dataset,
              rng: RngState, step: int = 0, knn_train_subsample: int = 10000,
              knn_test_subsample: int = 0, latent_mode: str = "sampled",

@@ -1,8 +1,8 @@
-"""Dense numeric kernels: stable primitives, init, and a finite-difference oracle.
+"""Stable elementwise kernels (log_softmax, softplus, sigmoid), Glorot init,
+and a finite-difference oracle; the dense ReLU layers are `model._dense_relu`.
 
-All arrays are 64-bit floats. Matrices are 2-D row-major numpy arrays.
-Kernels are pure functions; they either guard against non-finite output
-(stable branch forms) or raise NumericError.
+All arrays are 64-bit floats. Kernels are pure functions; they either guard
+against non-finite output (stable branch forms) or raise NumericError.
 """
 
 from __future__ import annotations
@@ -24,31 +24,15 @@ def check_finite(name: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def log_sum_exp(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(v))) along `axis`, stabilized by max subtraction."""
-    v = as_f64(v)
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    m = np.max(v, axis=axis, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise NumericError("log_sum_exp requires finite inputs")
-    out = np.log(np.sum(np.exp(v - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out if out.ndim else float(out)
-
-
 def log_softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """v - log_sum_exp(v); always finite for finite inputs."""
+    """v - m - ln(sum(exp(v - m))) along `axis`, m the max along it; always
+    finite for finite inputs. A non-finite max raises NumericError."""
     v = as_f64(v)
     m = np.maximum.reduce(v, axis=axis, keepdims=True)
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise NumericError("log_softmax requires finite inputs")
     shifted = v - m
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-invariant softmax via log_sum_exp; rows sum to 1 within 1e-12."""
-    return np.exp(log_softmax(v, axis=axis))
 
 
 def softplus(x, e: np.ndarray | None = None) -> np.ndarray:
@@ -71,10 +55,6 @@ def sigmoid(x, e: np.ndarray | None = None) -> np.ndarray:
     x = as_f64(x)
     e = np.exp(-np.abs(x)) if e is None else e
     return np.maximum(e, x >= 0) / (1.0 + e)
-
-
-def relu(x) -> np.ndarray:
-    return np.maximum(as_f64(x), 0.0)
 
 
 def glorot_uniform(rng, fan_in: int, fan_out: int, out: np.ndarray) -> None:

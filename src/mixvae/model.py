@@ -24,6 +24,9 @@ reads one component per sample and decodes only those B rows.
 Gradients are computed by hand-written reverse mode over the cached
 forward pass, so forward and backward always see the same noise.
 
+`_dense_relu` is the one dense ReLU stack: the training forward, `encode_shared`
+(evaluation, expansion's parent) and `decode` (replay, counter-examples) run it.
+
 `backward`, `elbo` and `supervised_elbo` decode into a `StepBuffers`
 object: the one set as `params.step_buffers`, or else a fresh one made
 for the call. A training run sets one for its whole length, so its steps
@@ -43,14 +46,7 @@ from itertools import accumulate, zip_longest
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .kernels import (
-    as_f64,
-    glorot_uniform,
-    log_softmax,
-    relu,
-    sigmoid,
-    softplus,
-)
+from .kernels import as_f64, glorot_uniform, log_softmax, sigmoid, softplus
 from .rng import RngState
 
 # Floor added to every softplus-produced sigma; keeps KL and the
@@ -290,14 +286,13 @@ def init_params(arch: Architecture, rng: RngState, k_init: int = 1) -> ModelPara
 # Forward building blocks (single sample or batch).
 
 def encode_shared(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Shared representation: ReLU MLP over the flattened input."""
+    """Shared representation: the encoder's `_dense_relu` over the flattened input."""
     x = as_f64(x)
     single = x.ndim == 1
     h = x[None, :] if single else x
     if h.shape[1] != params.arch.input_dim:
         raise ShapeError(f"input dim {h.shape[1]} != encoder input {params.arch.input_dim}")
-    for w, b in params.layers["enc"]:
-        h = relu(h @ params[w].T + params[b])
+    h, _ = _dense_relu(h, params, params.layers["enc"])
     return h[0] if single else h
 
 
@@ -345,10 +340,8 @@ def decode(z: np.ndarray, params: ModelParams) -> np.ndarray:
     lead = z.shape[:-1]
     if z.shape[-1] != params.arch.n_z:
         raise ShapeError(f"latent dim {z.shape[-1]} != n_z {params.arch.n_z}")
-    g = z.reshape(-1, params.arch.n_z)
     *hidden, (w_out, b_out) = params.layers["dec"]
-    for w, b in hidden:
-        g = relu(g @ params[w].T + params[b])
+    g, _ = _dense_relu(z.reshape(-1, params.arch.n_z), params, hidden)
     o = g @ params[w_out].T + params[b_out]
     p = np.clip(sigmoid(o), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
     return p.reshape(lead + (params.arch.input_dim,))

@@ -186,8 +186,9 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
         if alternation_anchor is None:
             alternation_anchor = step + 1
         snapshot_steps.append(step)
-        save_checkpoint(os.path.join(cfg.out_dir, f"snapshot-{step:07d}.ckpt"),
-                        snapshot.params, None, snapshot.usage, step, snapshot=True)
+        save_checkpoint(os.path.join(cfg.out_dir, f"snapshot-{step:07d}.ckpt"), snapshot.params,
+                        AdamState(adam.lr, adam.beta1, adam.beta2, adam.eps), snapshot.usage,
+                        step, snapshot=True)
 
     for step in range(spec.total_steps):
         is_replay = (replay_on and snapshot is not None

@@ -304,6 +304,27 @@ def test_reconstruction_has_the_bits_of_the_whole_array_expressions(k):
     assert same_bits(model.elbo(x, params, None, eps=eps).recon_per_component, want)
 
 
+@pytest.mark.parametrize("nan_unit", [False, True])
+def test_encode_shared_and_decode_give_the_bits_of_the_whole_array_forms(nan_unit):
+    # both run _dense_relu, as the training forward does; a NaN
+    # pre-activation becomes 0 there, as in training
+    params = tiny_params(seed=14, k=2)
+    if nan_unit:
+        params["enc_w.0"][1, 2] = np.nan
+        params["dec_w.0"][0, 1] = np.nan
+    x = random_inputs(7, 6, seed=14)
+    want_h, _ = ref._relu_layers(x, params, params.layers["enc"])
+    assert same_bits(model.encode_shared(x, params), want_h)
+    assert same_bits(model.encode_shared(x[3], params),
+                     ref._relu_layers(x[3:4], params, params.layers["enc"])[0][0])
+    z = RngState(14, (43,)).normal((7, 2, params.arch.n_z))
+    *hidden, (w_out, b_out) = params.layers["dec"]
+    g, _ = ref._relu_layers(z.reshape(14, -1), params, hidden)
+    want_p = np.clip(ref.sigmoid(g @ params[w_out].T + params[b_out]), ref.EPS, 1.0 - ref.EPS)
+    assert same_bits(model.decode(z, params), want_p.reshape(7, 2, -1))
+    assert np.all(np.isfinite(want_h)) and np.all(np.isfinite(want_p))
+
+
 @pytest.mark.parametrize("head_block", [None, 7, 30])
 @pytest.mark.parametrize("k, batch", [(1, 1), (2, 5), (3, 2), (4, 9)])
 def test_passes_give_the_bits_of_the_whole_array_forms(monkeypatch, head_block, k, batch):

@@ -205,3 +205,37 @@ def test_save_rejects_accumulators_of_another_shape(tmp_path):
     usage.grow(params.k)
     with pytest.raises(CheckpointError, match="task_w"):
         save_checkpoint(tmp_path / "stale.ckpt", params, adam, usage)
+
+
+# Offsets of the f64 optimizer fields in the checkpoint head.
+HEAD_FLOATS = {"lr": 32, "beta1": 40, "beta2": 48, "eps": 56}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", 0.0), ("lr", np.inf), ("lr", np.nan), ("beta1", 1.5), ("beta1", -0.1),
+    ("beta2", 1.0), ("beta2", np.nan), ("eps", -1e-8), ("eps", 0.0), ("eps", np.inf)])
+def test_optimizer_settings_outside_adams_rule_rejected(tmp_path, field, value):
+    params, adam, usage = trained_state()
+    path = tmp_path / "opt.ckpt"
+    save_checkpoint(path, params, adam, usage)
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack_from("<d", blob, HEAD_FLOATS[field]) == (getattr(adam, field),)
+    struct.pack_into("<d", blob, HEAD_FLOATS[field], value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"optimizer {field} must be"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field, buffer", [
+    ("parameter", "enc_w.0"), ("parameter", "prior_rho"), ("Adam m", "task_w"),
+    ("Adam v", "dec_b.2"), ("usage count", None)])
+def test_non_finite_vector_value_rejected(tmp_path, field, buffer, value):
+    params, adam, usage = trained_state()
+    buffers = {"parameter": params, "Adam m": adam.m, "Adam v": adam.v}
+    target = usage.accumulated if buffer is None else buffers[field][buffer]
+    target.reshape(-1)[-1] = value
+    path = tmp_path / "nonfinite.ckpt"
+    save_checkpoint(path, params, adam, usage)
+    with pytest.raises(CheckpointError, match=f"non-finite {field} value"):
+        load_checkpoint(path)

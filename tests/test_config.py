@@ -128,3 +128,29 @@ def test_all_presets_round_trip():
         cfg = load_preset(name)
         text = serialize_config(cfg)
         assert serialize_config(parse_config(text)) == text, name
+
+
+@pytest.mark.parametrize("item, key", [
+    ("expansion.c_new=nan", "expansion.c_new"),  # no sample is ever below NaN
+    ("opt.beta1=1.5", "opt.beta1"),
+    ("opt.beta2=1.0", "opt.beta2"),
+    ("opt.beta1=-0.1", "opt.beta1"),
+    ("opt.eps=-1e-8", "opt.eps"),
+    ("opt.eps=0", "opt.eps"),
+    ("opt.eps=nan", "opt.eps"),
+    ("opt.lr=inf", "opt.lr"),
+    ("data.blob_factor_scale=nan", "data.blob_factor_scale"),
+    ("data.blob_noise=inf", "data.blob_noise"),
+    ("data.blob_noise=-inf", "data.blob_noise"),
+])
+def test_non_finite_and_out_of_range_floats_rejected(item, key):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        apply_overrides(ExperimentConfig(), [item])
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        parse_config(item.replace("=", " = ") + "\n")
+
+
+def test_boundary_optimizer_values_accepted():
+    cfg = apply_overrides(ExperimentConfig(),
+                          ["opt.beta1=0", "opt.beta2=0.999999", "opt.eps=1e-300"])
+    assert (cfg.opt.beta1, cfg.opt.beta2, cfg.opt.eps) == (0.0, 0.999999, 1e-300)

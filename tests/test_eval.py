@@ -13,7 +13,6 @@ from mixvae.evaluation import (
     export_latents_csv,
     incremental_class_accuracy,
     incremental_task_accuracy,
-    knn_error,
     knn_errors,
     load_grid_matrix,
     majority_mapping,
@@ -99,7 +98,7 @@ class TestKnn:
     def test_self_match_zero_error(self):
         z = RngState(1, (91,)).normal((30, 3))
         y = RngState(2, (92,)).integers(4, size=30)
-        assert knn_error(z, y, z, y, 1) == 0.0
+        assert knn_errors(z, y, z, y, (1,))[1] == 0.0
 
     def test_separated_clusters(self):
         rng = RngState(3, (93,))
@@ -107,15 +106,15 @@ class TestKnn:
         b = rng.normal((50, 2)) - 100.0
         z = np.concatenate([a, b])
         y = np.array([0] * 50 + [1] * 50)
-        assert knn_error(z, y, z, y, 10) == 0.0
+        assert knn_errors(z, y, z, y, (10,))[10] == 0.0
 
     def test_hand_instance(self):
         # neighbors of 1.4 among [0,1,2,10,11] at k=3 are {1,2,0} -> class a
         train = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
         labels = np.array([0, 0, 0, 1, 1])
-        err = knn_error(train, labels, np.array([[1.4]]), np.array([0]), 3)
+        err = knn_errors(train, labels, np.array([[1.4]]), np.array([0]), (3,))[3]
         assert err == 0.0
-        err_b = knn_error(train, labels, np.array([[1.4]]), np.array([1]), 3)
+        err_b = knn_errors(train, labels, np.array([[1.4]]), np.array([1]), (3,))[3]
         assert err_b == 1.0
 
     def test_rotation_invariance(self):
@@ -134,14 +133,14 @@ class TestKnn:
         # two train points equidistant from the query; lower index wins at k=1
         train = np.array([[1.0], [-1.0], [5.0]])
         labels = np.array([2, 1, 0])
-        err = knn_error(train, labels, np.array([[0.0]]), np.array([2]), 1)
+        err = knn_errors(train, labels, np.array([[0.0]]), np.array([2]), (1,))[1]
         assert err == 0.0
 
     def test_vote_tie_to_smallest_class(self):
         train = np.array([[0.0], [1.0]])
         labels = np.array([1, 0])
         # k=2: one vote each; smallest class (0) wins
-        err = knn_error(train, labels, np.array([[0.4]]), np.array([0]), 2)
+        err = knn_errors(train, labels, np.array([[0.4]]), np.array([0]), (2,))[2]
         assert err == 0.0
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -185,9 +184,9 @@ class TestKnn:
         z = np.zeros((4, 2))
         y = np.zeros(4, dtype=np.int64)
         with pytest.raises(ValueError):
-            knn_error(z, y, z, y, 5)
+            knn_errors(z, y, z, y, (5,))
         with pytest.raises(ValueError):
-            knn_error(z, y, z, y, 0)
+            knn_errors(z, y, z, y, (0,))
 
 
 class TestEncodeEvalLatents:

@@ -8,9 +8,7 @@ from mixvae.errors import NumericError
 from mixvae.kernels import (
     finite_difference_grad,
     log_softmax,
-    log_sum_exp,
     sigmoid,
-    softmax,
     softplus,
 )
 from mixvae.model import BERNOULLI_EPS
@@ -18,50 +16,36 @@ from mixvae.rng import RngState
 from reference_forms import same_bits
 
 
-class TestLogSumExp:
-    def test_two_zeros(self):
-        assert log_sum_exp(np.array([0.0, 0.0])) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_no_overflow(self):
-        assert log_sum_exp(np.array([1000.0, 1000.0])) == pytest.approx(1000 + math.log(2))
-
-    def test_single_element_identity(self):
-        for x in (-3.5, 0.0, 17.0):
-            assert log_sum_exp(np.array([x])) == pytest.approx(x, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp(np.array([]))
-
-    def test_bounds_property(self):
-        rng = RngState(7, (1,))
-        for _ in range(200):
-            v = rng.normal(5) * 10
-            lse = log_sum_exp(v)
-            assert lse >= v.max() - 1e-12
-            assert lse <= v.max() + math.log(len(v)) + 1e-12
-
-
 class TestSoftmax:
+    """The softmax the model takes q(y|x) from: exp(log_softmax(v))."""
+
+    @staticmethod
+    def softmax(v):
+        return np.exp(log_softmax(v))
+
     def test_symmetry(self):
-        assert np.allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
+        assert np.allclose(self.softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
 
     def test_shifted_closed_form(self):
-        out = softmax(np.array([1000.0, 1000.0 + math.log(3)]))
-        assert np.allclose(out, [0.25, 0.75], atol=1e-12)
+        v = np.array([1000.0, 1000.0 + math.log(3)])
+        assert np.allclose(log_softmax(v), [-math.log(4), math.log(0.75)], atol=1e-12)
+        assert np.allclose(self.softmax(v), [0.25, 0.75], atol=1e-12)
 
     def test_single_component(self):
-        assert np.allclose(softmax(np.array([5.0])), [1.0])
+        assert np.array_equal(log_softmax(np.array([5.0])), [0.0])
+        assert np.allclose(self.softmax(np.array([5.0])), [1.0])
 
     def test_sum_and_shift_invariance(self):
         rng = RngState(8, (2,))
         for _ in range(200):
             v = rng.normal(6) * 5
             c = float(rng.normal()) * 50
-            s = softmax(v)
+            s = self.softmax(v)
             assert abs(s.sum() - 1.0) < 1e-12
             assert np.all(s > 0)
-            assert np.allclose(s, softmax(v + c), atol=1e-12)
+            assert -math.log(len(v)) - 1e-12 <= log_softmax(v).max() <= 0.0
+            assert np.allclose(log_softmax(v), log_softmax(v + c), atol=1e-12)
+            assert np.allclose(s, self.softmax(v + c), atol=1e-12)
 
 
 class TestSoftplus:

@@ -95,6 +95,18 @@ class TestRunTrain:
             assert os.path.exists(path)
             assert load_checkpoint(path).is_snapshot
 
+    def test_snapshots_carry_the_run_optimizer_settings(self, tmp_path):
+        cfg = toy_cfg(tmp_path, steps=200,
+                      **{"replay.snapshot": "fixed", "replay.snapshot_period": 100,
+                         "expansion.enabled": "false", "opt.lr": 5e-4, "opt.beta2": 0.99,
+                         "opt.eps": 1e-7})
+        result = run_train(cfg)
+        assert result.snapshot_steps == [99, 199]
+        for s in result.snapshot_steps:
+            adam = load_checkpoint(os.path.join(cfg.out_dir, f"snapshot-{s:07d}.ckpt")).adam
+            assert (adam.lr, adam.beta1, adam.beta2, adam.eps, adam.t) == (5e-4, 0.9, 0.99, 1e-7, 0)
+            assert not adam.m.vector.any() and not adam.v.vector.any()
+
     def test_dynamic_snapshot_ignores_the_period(self, tmp_path):
         cfg = toy_cfg(tmp_path, steps=200,
                       **{"replay.snapshot": "dynamic", "replay.snapshot_period": 50,

@@ -1,6 +1,7 @@
 """Output digests of the four pinned toy configs, for byte-identity checks.
 
 Usage: python3 tools/pinned_digests.py SRC_DIR
+       python3 tools/pinned_digests.py PARENT_SRC CHANGE_SRC
 
 Imports `mixvae` from SRC_DIR (the `src/` directory of a checkout), runs
 each pinned config with its output directory under a temporary
@@ -11,10 +12,12 @@ for config (a) the `eval --csv` file, the `export-latents` CSV, the
 `export-samples` PGM and matrix in `--checkpoint` and `--snapshots-dir`
 modes, and the `knn-sweep` CSV with default settings and in mean mode
 with a 300-point test subsample; for config (d), which is supervised,
-the `eval` stdout. A refactor that must keep outputs byte-identical runs
-this on the parent's and the change's `src/` and compares the two
-listings. BLAS is pinned to one thread so that summation order does not
-depend on the machine's core count.
+the `eval` stdout. With two `src/` directories it lists each in its own
+process and prints only the outputs whose digests differ (or that only
+one side wrote), as `tag preset name PARENT -> CHANGE`, and exits 1 if
+there are any: the byte-identity gate of a refactor. BLAS is pinned to
+one thread so that summation order does not depend on the machine's core
+count.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -83,9 +87,27 @@ def read_side(tag: str, preset: str, overrides: list[str], out: str) -> dict[str
     return {name: digest(path(name)) for name in names}
 
 
+def compare(parent_src: str, change_src: str) -> int:
+    """Print the digest lines that differ between two `src/` directories."""
+    parent, change = (
+        dict(line.rsplit(" ", 1) for line in subprocess.run(
+            [sys.executable, os.path.abspath(__file__), src], check=True,
+            stdout=subprocess.PIPE, text=True).stdout.splitlines())
+        for src in (parent_src, change_src))
+    differ = [f"{name} {parent.get(name, '-')} -> {change.get(name, '-')}"
+              for name in {**parent, **change} if parent.get(name) != change.get(name)]
+    for line in differ:
+        print(line)
+    print(f"{len(differ)} of {len({**parent, **change})} digests differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        return compare(*argv)
     if len(argv) != 1:
-        print("usage: python3 tools/pinned_digests.py SRC_DIR", file=sys.stderr)
+        print("usage: python3 tools/pinned_digests.py SRC_DIR | PARENT_SRC CHANGE_SRC",
+              file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.abspath(argv[0]))
     from mixvae.config import apply_overrides, load_preset
