@@ -23,8 +23,10 @@ The three vectors are the `FlatBuffers` vectors of the parameters and
 the moments, so the body takes three large writes and the same bytes as
 writing each buffer in turn. Float payloads are written as numpy '<f8'
 buffers and read back into fresh float64 arrays, so save -> load -> save
-is byte-identical. Loading rejects a non-finite value in the four vectors
-and optimizer settings that break Adam's rule (`adam.hyperparameter_problem`).
+is byte-identical. Loading rejects a non-finite value in the four vectors,
+optimizer settings that break Adam's rule (`adam.hyperparameter_problem`),
+and usage counts that give no replay prior: a negative count, or counts
+that sum to 0 after a counted batch.
 """
 
 from __future__ import annotations
@@ -173,4 +175,7 @@ def _read_checkpoint(rd: _Reader) -> LoadedCheckpoint:
         rd.fill(vector)
         if not np.isfinite(vector).all():
             raise CheckpointError(f"non-finite {field} value")
+    if (usage.accumulated < 0).any() or (usage_total and not usage.accumulated.any()):
+        raise CheckpointError(f"usage counts {usage.accumulated.tolist()} are negative or "
+                              f"sum to 0 over {usage_total} batches")
     return LoadedCheckpoint(params, adam, usage, int(step), bool(flags & FLAG_SNAPSHOT))

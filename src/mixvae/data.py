@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,40 +77,43 @@ class Dataset:
                        self.n_classes, self.image_hw)
 
 
-def _open_maybe_gzip(path):
+def _read_maybe_gzip(path) -> memoryview:
+    """The file's bytes, gunzipped when its name ends in .gz."""
     path = str(path)
-    return gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
+    try:
+        with gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb") as fh:
+            return memoryview(fh.read())
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise DataFormatError(f"gzip: {path} is truncated or corrupt ({exc})") from None
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Parse a big-endian IDX image/label file pair into a Dataset.
 
     Pixel bytes are divided by 255. Raises DataFormatError naming the
-    offending field (magic, count, payload) on malformed input.
+    offending field (gzip, magic, count, payload) on malformed input.
     """
-    with _open_maybe_gzip(images_path) as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise DataFormatError(f"magic: image file {images_path} shorter than its header")
-        magic, n, rows, cols = struct.unpack(">IIII", head)
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(f"magic: expected {IDX_IMAGES_MAGIC:#010x} in {images_path}, got {magic:#010x}")
-        payload = fh.read()
-        if len(payload) != n * rows * cols:
-            raise DataFormatError(f"payload: image file {images_path} has {len(payload)} bytes, expected {n * rows * cols}")
-        images = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols) / 255.0
+    data = _read_maybe_gzip(images_path)
+    if len(data) < 16:
+        raise DataFormatError(f"magic: image file {images_path} shorter than its header")
+    magic, n, rows, cols = struct.unpack(">IIII", data[:16])
+    if magic != IDX_IMAGES_MAGIC:
+        raise DataFormatError(f"magic: expected {IDX_IMAGES_MAGIC:#010x} in {images_path}, got {magic:#010x}")
+    payload = data[16:]
+    if len(payload) != n * rows * cols:
+        raise DataFormatError(f"payload: image file {images_path} has {len(payload)} bytes, expected {n * rows * cols}")
+    images = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols) / 255.0
 
-    with _open_maybe_gzip(labels_path) as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise DataFormatError(f"magic: label file {labels_path} shorter than its header")
-        magic, n_labels = struct.unpack(">II", head)
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(f"magic: expected {IDX_LABELS_MAGIC:#010x} in {labels_path}, got {magic:#010x}")
-        raw = fh.read()
-        if len(raw) != n_labels:
-            raise DataFormatError(f"payload: label file {labels_path} has {len(raw)} bytes, expected {n_labels}")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    data = _read_maybe_gzip(labels_path)
+    if len(data) < 8:
+        raise DataFormatError(f"magic: label file {labels_path} shorter than its header")
+    magic, n_labels = struct.unpack(">II", data[:8])
+    if magic != IDX_LABELS_MAGIC:
+        raise DataFormatError(f"magic: expected {IDX_LABELS_MAGIC:#010x} in {labels_path}, got {magic:#010x}")
+    raw = data[8:]
+    if len(raw) != n_labels:
+        raise DataFormatError(f"payload: label file {labels_path} has {len(raw)} bytes, expected {n_labels}")
+    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
     if n != n_labels:
         raise DataFormatError(f"count: {n} images but {n_labels} labels")

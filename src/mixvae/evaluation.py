@@ -17,6 +17,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .data import Dataset, default_image_hw
+from .errors import ConfigError
 from .kernels import check_finite
 from .model import (
     ModelParams,
@@ -230,10 +231,11 @@ def evaluate(params: ModelParams, test_dataset: Dataset, train_dataset: Dataset,
 def incremental_class_accuracy(params: ModelParams, test_dataset: Dataset) -> float:
     """Accuracy of argmax q(y|x) over all components against class labels.
 
-    Requires a supervised run whose components are aligned to classes.
+    Requires a supervised run whose components are aligned to classes, so
+    a K below the class count raises ConfigError.
     """
     if params.k < test_dataset.n_classes:
-        raise ValueError(f"K={params.k} smaller than the {test_dataset.n_classes} classes")
+        raise ConfigError(f"K={params.k} smaller than the {test_dataset.n_classes} classes")
     q = task_posteriors(test_dataset.images, params)
     return float(np.mean(np.argmax(q, axis=1) == test_dataset.labels))
 
@@ -243,15 +245,16 @@ def incremental_task_accuracy(params: ModelParams, test_dataset: Dataset,
     """Accuracy when each point's argmax is restricted to its own task's pair.
 
     Computed pointwise over the whole test set, so it can never fall
-    below the unrestricted (incremental class) accuracy.
+    below the unrestricted (incremental class) accuracy. A K below the
+    class count, or a test class in no pair, raises ConfigError.
     """
     if params.k < test_dataset.n_classes:
-        raise ValueError(f"K={params.k} smaller than the {test_dataset.n_classes} classes")
+        raise ConfigError(f"K={params.k} smaller than the {test_dataset.n_classes} classes")
+    class_to_pair = {cls: pair for pair in task_pairs for cls in pair}
+    uncovered = sorted(set(np.unique(test_dataset.labels).tolist()) - class_to_pair.keys())
+    if uncovered:
+        raise ConfigError(f"task pairs {task_pairs} do not cover classes {uncovered}")
     q = task_posteriors(test_dataset.images, params)
-    class_to_pair = {}
-    for pair in task_pairs:
-        for cls in pair:
-            class_to_pair[cls] = pair
     correct = 0
     for i, true in enumerate(test_dataset.labels):
         pair = class_to_pair[int(true)]

@@ -27,12 +27,10 @@ forward pass, so forward and backward always see the same noise.
 `_dense_relu` is the one dense ReLU stack: the training forward, `encode_shared`
 (evaluation, expansion's parent) and `decode` (replay, counter-examples) run it.
 
-`backward`, `elbo` and `supervised_elbo` decode into a `StepBuffers`
-object: the one set as `params.step_buffers`, or else a fresh one made
-for the call. A training run sets one for its whole length, so its steps
-allocate no decoder-sized array, and clears it before it writes its
-final checkpoint. What the functions return (the gradients and the
-`ElboBreakdown` arrays) is always new arrays, never views of the buffers.
+`backward`, `elbo` and `supervised_elbo` decode into the `StepBuffers` that
+each `ModelParams` owns, so a training run's steps allocate no decoder-sized
+array. They return new arrays (the gradients, the `ElboBreakdown` fields),
+never views of the buffers.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import math
 import mmap
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 
 import numpy as np
 
@@ -153,29 +151,19 @@ class FlatBuffers(Mapping):
 
 class ModelParams(FlatBuffers):
     """All learnable buffers in `param_spec` order, as views of one float64
-    vector, plus the active component count K.
-
-    `buffers` is a dict of named arrays, checked against the registry and
-    copied into a new vector; or a vector of the layout's length, used as
-    it is; or None for all zeros.
+    vector (`vector`, used as it is, or zeros when None), plus the active
+    component count K and the object's own `StepBuffers`, unmapped until
+    its first decode.
     """
 
-    def __init__(self, arch: Architecture, k: int,
-                 buffers: dict[str, np.ndarray] | np.ndarray | None = None):
+    def __init__(self, arch: Architecture, k: int, vector: np.ndarray | None = None):
         if not 1 <= k <= arch.k_max:
             raise ShapeError(f"K={k} outside [1, K_max={arch.k_max}]")
         shapes = _shapes(arch, k)
-        if isinstance(buffers, dict):
-            have = [(name, np.shape(buf)) for name, buf in buffers.items()]
-            bad = next(((w, h) for w, h in zip_longest(shapes.items(), have) if w != h), None)
-            if bad is not None:
-                raise ShapeError(f"buffer {bad[1]} where the registry declares {bad[0]}")
-            buffers = np.concatenate([np.ravel(buf) for buf in buffers.values()],
-                                     dtype=np.float64)
-        super().__init__(shapes, buffers)
+        super().__init__(shapes, vector)
         self.arch = arch
         self.k = k
-        self.step_buffers: StepBuffers | None = None  # set by a caller that owns one
+        self.step_buffers = StepBuffers()
         # (weight, bias) names of each "enc" and "dec" dense layer, input side
         # first; the registry lists each dense weight just before its bias.
         names = list(shapes)
@@ -184,7 +172,7 @@ class ModelParams(FlatBuffers):
                        for stack in ("enc", "dec")}
 
     def clone(self) -> "ModelParams":
-        """Independent copy: one copy of the parameter vector, without step buffers."""
+        """Independent copy: one copy of the parameter vector, unmapped step buffers."""
         return ModelParams(self.arch, self.k, self.vector.copy())
 
     def add_component_copy(self, parent: int) -> None:
@@ -519,15 +507,14 @@ def _bernoulli_head(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
 
 
 def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
-             y: np.ndarray | None = None, bufs: StepBuffers | None = None) -> _Cache:
+             y: np.ndarray | None = None) -> _Cache:
     """Cached forward pass of the marginalized objective, or of the
-    component-constrained one at labels y, decoding into `bufs` (fresh
-    buffers when None)."""
+    component-constrained one at labels y, decoding into `params.step_buffers`."""
     arch, views = params.arch, params._views
     b, k, nz = x.shape[0], params.k, arch.n_z
     if eps.shape != (b, k, nz):
         raise ShapeError(f"eps shape {eps.shape} != {(b, k, nz)}")
-    bufs = (StepBuffers() if bufs is None else bufs).fit(params, b)
+    bufs = params.step_buffers.fit(params, b)
 
     h, enc = _dense_relu(x, params, params.layers["enc"])
 
@@ -598,7 +585,7 @@ def _run_forward(x, params: ModelParams, rng: RngState, eps, y_obs=None):
             raise ShapeError(f"batch {xb.shape[0]} != labels {y.shape[0]}")
     if eps is None:
         eps = draw_eps(params, xb.shape[0], rng)
-    return _forward(params, xb, eps, y, params.step_buffers), y, single
+    return _forward(params, xb, eps, y), y, single
 
 
 def elbo(x: np.ndarray, params: ModelParams, rng: RngState,
@@ -701,7 +688,7 @@ def _backward(params: ModelParams, cache: _Cache,
 
 def relu_margin(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> float:
     """Smallest |input| of any encoder or decoder ReLU unit at inputs x and noise eps."""
-    cache = _forward(params, as_f64(x), eps, bufs=params.step_buffers)
+    cache = _forward(params, as_f64(x), eps)
     layers = params.layers["enc"] + params.layers["dec"][:-1]
     return min(float(np.min(np.abs(h @ params[w].T + params[b])))
                for (w, b), (h, _) in zip(layers, cache.enc + cache.dec))
@@ -735,7 +722,7 @@ def generate(params: ModelParams, pi: np.ndarray, n: int, rng: RngState):
     pi = as_f64(pi)
     if pi.shape != (params.k,):
         raise ValueError(f"pi length {pi.shape} != K={params.k}")
-    if np.minimum.reduce(pi) < 0 or abs(float(np.add.reduce(pi)) - 1.0) > 1e-9:
+    if not (np.minimum.reduce(pi) >= 0 and abs(float(np.add.reduce(pi)) - 1.0) <= 1e-9):
         raise ValueError("pi must be a normalized probability vector")
     y = rng.categorical(pi, n)
     eps = rng.normal((n, params.arch.n_z))

@@ -147,9 +147,6 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
     arch = Architecture(input_dim=train.dim, encoder=cfg.arch.encoder, n_z=cfg.arch.n_z,
                         decoder=cfg.arch.decoder, k_max=cfg.arch.k_max)
     params = init_params(arch, substream(cfg.seed, STREAM_INIT), cfg.arch.k_init)
-    # Every backward and elbo of the run, the expansion finetunes included,
-    # decodes into these buffers.
-    params.step_buffers = StepBuffers()
     adam = AdamState(lr=cfg.opt.lr, beta1=cfg.opt.beta1, beta2=cfg.opt.beta2, eps=cfg.opt.eps)
     usage = UsageCounts(params.k)
     buffer = PoorSampleBuffer(cfg.expansion.n_new, cfg.expansion.c_new,
@@ -247,7 +244,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
                     fh.write(f"{step},{cls},{_fmt(acc)}\n")
             logged = (len(snapshot_steps), len(exp_state.expansion_log))
 
-    params.step_buffers = None  # freed before the final checkpoint write
+    params.step_buffers = StepBuffers()  # unmapped before the final checkpoint write
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.ckpt")
     save_checkpoint(ckpt_path, params, adam, usage, spec.total_steps)
     return TrainResult(out_dir=cfg.out_dir, metrics_path=metrics_path,
@@ -274,18 +271,23 @@ def load_for_eval(cfg: ExperimentConfig, checkpoint_path,
 def run_eval(cfg: ExperimentConfig, checkpoint_path, split: str = "test",
              out_csv: str | None = None) -> EvalReport:
     """Evaluate a checkpoint on a dataset split; print and append a CSV row.
-    A supervised config also prints its incremental accuracies on the split."""
+    A supervised config also prints its incremental accuracies on the split,
+    which are computed first: a K or task pairs that cannot score it raise
+    ConfigError before anything is printed or written."""
     loaded, train, target = load_for_eval(cfg, checkpoint_path, split)
     params = loaded.params
+    incremental = None
+    if cfg.mode == "supervised":
+        pairs = build_stream_spec(cfg, train).task_pairs
+        incremental = (f"incremental_task={incremental_task_accuracy(params, target, pairs):.4f} "
+                       f"incremental_class={incremental_class_accuracy(params, target):.4f}")
     report = evaluate(params, target, train, substream(cfg.seed, STREAM_EVAL, loaded.step),
                       step=loaded.step, knn_train_subsample=cfg.eval.knn_train_subsample,
                       knn_test_subsample=cfg.eval.knn_test_subsample,
                       latent_mode=cfg.eval.latent_mode)
     print(report.summary())
-    if cfg.mode == "supervised":
-        pairs = build_stream_spec(cfg, train).task_pairs
-        print(f"incremental_task={incremental_task_accuracy(params, target, pairs):.4f} "
-              f"incremental_class={incremental_class_accuracy(params, target):.4f}")
+    if incremental:
+        print(incremental)
     if out_csv:
         new = not os.path.exists(out_csv)
         with open(out_csv, "a") as fh:
@@ -312,10 +314,8 @@ GRADCHECK_KINK_MARGIN = 10.0
 def grad_rel_errors(params: ModelParams, grads: Mapping[str, np.ndarray],
                     loss: Callable[[ModelParams], float], h: float) -> dict[str, float]:
     """Max relative error of each analytic gradient buffer against central
-    differences of loss(params). One clone is perturbed a buffer at a time;
-    it decodes into step buffers of its own for all its calls."""
+    differences of loss(params). One clone is perturbed a buffer at a time."""
     trial = params.clone()
-    trial.step_buffers = StepBuffers()
     out = {}
     for name, buf in trial.buffers():
         def f(v, buf=buf):
@@ -340,12 +340,10 @@ def run_gradcheck(seed: int = 0, n_configs: int = 5, h: float = 1e-5, verbose: b
         raise ConfigError(f"gradcheck needs at least one config, got {n_configs}")
     arch = Architecture(input_dim=6, encoder=(5, 4), n_z=2, decoder=(4, 5), k_max=4)
     worst = {"marginal": {}, "constrained": {}}
-    bufs = StepBuffers()  # every config's net has the same layout and batch
     for i in range(n_configs):
         rng = substream(seed, STREAM_INIT, i)
         while True:
             params = init_params(arch, rng, k_init=3)
-            params.step_buffers = bufs
             for name, buf in params.buffers():
                 if "b." in name or "prior" in name or name == "task_b":
                     buf += 0.3 * rng.normal(buf.shape)

@@ -4,7 +4,9 @@ import pytest
 import reference_forms as ref
 from conftest import fd_check, forward_loss, random_inputs, tiny_params
 from mixvae import model
+from mixvae.checkpoint import load_checkpoint, save_checkpoint
 from mixvae.model import backward, draw_eps, supervised_elbo
+from mixvae.replay import UsageCounts, take_snapshot
 from mixvae.rng import RngState
 
 
@@ -197,11 +199,11 @@ def same_bits(a, b):
 
 
 def test_step_buffers_give_the_bits_of_fresh_calls():
-    # one buffer object through marginal and constrained batches of several
+    # one object's buffers through marginal and constrained batches of several
     # sizes and an expansion K -> K+1; every call matches a call on a clone,
-    # which decodes into fresh buffers
+    # which decodes into fresh buffers of its own
     params = tiny_params(seed=7, k=2)
-    params.step_buffers = bufs = model.StepBuffers()
+    bufs = params.step_buffers
     rng = RngState(7, (35,))
     held = []
     for i, (batch, constrained) in enumerate([(5, False), (5, True), (9, False), (3, True),
@@ -214,7 +216,7 @@ def test_step_buffers_give_the_bits_of_fresh_calls():
         eps = draw_eps(params, batch, rng)
         y = rng.integers(params.k, size=batch) if constrained else None
         fresh = params.clone()
-        assert fresh.step_buffers is None
+        assert fresh.step_buffers.rows == 0
         loss, grads, bd = backward(x, params, None, y_obs=y, eps=eps)
         want_loss, want_grads, want_bd = backward(x, fresh, None, y_obs=y, eps=eps)
         assert loss == want_loss
@@ -239,7 +241,7 @@ def test_step_buffers_give_the_bits_of_fresh_calls():
 
 def test_step_buffers_are_made_again_only_for_a_new_layout_or_a_larger_batch():
     params = tiny_params(seed=8, k=2)
-    params.step_buffers = bufs = model.StepBuffers()
+    bufs = params.step_buffers
     x = random_inputs(6, 6, seed=8)
 
     def run(batch, y_obs=None):
@@ -255,6 +257,33 @@ def test_step_buffers_are_made_again_only_for_a_new_layout_or_a_larger_batch():
     grown = run(4)
     assert grown is not first and bufs.rows == 12 and bufs.k == 3
     assert run(6) is not grown and bufs.rows == 18
+
+
+def test_every_params_object_starts_with_unmapped_buffers_of_its_own(tmp_path):
+    params = tiny_params(seed=9, k=2)
+    x = random_inputs(3, 6, seed=9)
+    backward(x, params, None, eps=draw_eps(params, 3, RngState(9, (44,))))
+    assert params.step_buffers.rows == 6
+    save_checkpoint(tmp_path / "a.ckpt", params)
+    made = [tiny_params(seed=9, k=2), params.clone(), load_checkpoint(tmp_path / "a.ckpt").params,
+            take_snapshot(params, UsageCounts(params.k), 0).params]
+    assert all(p.step_buffers.rows == 0 for p in made)
+    assert len({id(p.step_buffers) for p in made + [params]}) == 5
+
+
+def test_objects_that_have_decoded_share_no_block():
+    params = tiny_params(seed=10, k=2)
+    twin = params.clone()
+    x = random_inputs(3, 6, seed=10)
+    eps = draw_eps(params, 3, RngState(10, (45,)))
+    for p in (params, twin):
+        backward(x, p, None, eps=eps)
+    a, b = params.step_buffers, twin.step_buffers
+    assert a.rows == b.rows == 6
+
+    def views(bufs):
+        return [*bufs.acts, *bufs.masks, bufs.out, bufs.p_mask, bufs.scratch, bufs.flags]
+    assert not any(np.shares_memory(u, v) for u in views(a) for v in views(b))
 
 
 def _all_outputs(params, x, eps, y):
@@ -283,7 +312,6 @@ def test_bernoulli_head_in_many_blocks_gives_the_bits_of_one(monkeypatch, head_b
     want = _all_outputs(params, x, eps, y)
     monkeypatch.setattr(model, "HEAD_BLOCK", head_block)
     assert len(model._sample_blocks((batch, params.k, 6))) == -(-batch // max(1, head_block // 12))
-    params.step_buffers = model.StepBuffers()
     for got in (_all_outputs(params, x, eps, y), _all_outputs(params.clone(), x, eps, y)):
         for i, (a, b) in enumerate(zip(got, want)):
             assert same_bits(a, b), i
@@ -329,29 +357,29 @@ def test_encode_shared_and_decode_give_the_bits_of_the_whole_array_forms(nan_uni
 @pytest.mark.parametrize("k, batch", [(1, 1), (2, 5), (3, 2), (4, 9)])
 def test_passes_give_the_bits_of_the_whole_array_forms(monkeypatch, head_block, k, batch):
     # backward, elbo and supervised_elbo against the plain expressions in
-    # reference_forms, in one head block and in many, on fresh buffers and
-    # on step buffers reused across both loss paths
+    # reference_forms, in one head block and in many, on a clone's fresh
+    # buffers for each call and on one object's buffers reused across both
+    # loss paths
     if head_block is not None:
         monkeypatch.setattr(model, "HEAD_BLOCK", head_block)
     params = tiny_params(seed=20 + k, k=k)
     x = random_inputs(batch, 6, seed=batch + k)
     eps = draw_eps(params, batch, RngState(batch, (40,)))
     y = RngState(batch, (41,)).integers(k, size=batch)
-    for bufs in (None, model.StepBuffers()):
-        params.step_buffers = bufs
+    for on in (params.clone, lambda: params):
         for y_obs in (None, y):
             want_loss, want_grads, want_fields, want_values = ref.forward_backward(
                 params, x, eps, y_obs)
-            loss, grads, bd = backward(x, params, None, y_obs=y_obs, eps=eps)
+            loss, grads, bd = backward(x, on(), None, y_obs=y_obs, eps=eps)
             assert loss == want_loss
             assert ref.same_bits(grads.vector, want_grads.vector)
             for name, want in want_fields.items():
                 got = getattr(bd, name)
                 assert (got is None and want is None) or ref.same_bits(got, want), name
             if y_obs is None:
-                assert ref.same_bits(model.elbo(x, params, None, eps=eps).total, want_values)
+                assert ref.same_bits(model.elbo(x, on(), None, eps=eps).total, want_values)
             else:
-                assert ref.same_bits(supervised_elbo(x, y_obs, params, None, eps=eps),
+                assert ref.same_bits(supervised_elbo(x, y_obs, on(), None, eps=eps),
                                      want_values)
 
 

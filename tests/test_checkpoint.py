@@ -239,3 +239,24 @@ def test_non_finite_vector_value_rejected(tmp_path, field, buffer, value):
     save_checkpoint(path, params, adam, usage)
     with pytest.raises(CheckpointError, match=f"non-finite {field} value"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("counts", [[0.0, 0.0, 0.0], [2.5, -0.5, 3.0], [-0.0, -1e-300, 0.0]])
+def test_usage_counts_that_give_no_replay_prior_rejected(tmp_path, counts):
+    # five counted batches whose counts are all 0 or hold a negative value
+    params, adam, usage = trained_state()
+    assert usage.total_batches == 5
+    usage.accumulated[:] = counts
+    path = tmp_path / "usage.ckpt"
+    save_checkpoint(path, params, adam, usage)
+    with pytest.raises(CheckpointError, match="usage counts"):
+        load_checkpoint(path)
+
+
+def test_all_zero_usage_counts_load_before_any_counted_batch(tmp_path):
+    params, adam, _ = trained_state()
+    path = tmp_path / "fresh.ckpt"
+    save_checkpoint(path, params, adam, UsageCounts(params.k))
+    loaded = load_checkpoint(path)
+    assert loaded.usage.total_batches == 0
+    assert np.array_equal(loaded.usage.prior(), np.full(params.k, 1 / params.k))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mixvae.train as train_mod
-from mixvae.checkpoint import load_checkpoint
+from mixvae.checkpoint import load_checkpoint, save_checkpoint
 from mixvae.cli import main
 from mixvae.config import apply_overrides, load_preset
 from mixvae.evaluation import (
@@ -10,8 +10,9 @@ from mixvae.evaluation import (
     incremental_task_accuracy,
     load_grid_matrix,
 )
-from mixvae.model import generate
-from mixvae.rng import STREAM_EVAL, substream
+from mixvae.model import Architecture, generate, init_params
+from mixvae.replay import UsageCounts
+from mixvae.rng import STREAM_EVAL, RngState, substream
 
 
 def toy_args(tmp_path, extra=()):
@@ -214,3 +215,38 @@ def test_supervised_eval_scores_its_split_loading_once(tmp_path, capsys, monkeyp
     task = incremental_task_accuracy(params, train, ((0, 1), (2, 3)))
     cls = incremental_class_accuracy(params, train)
     assert lines[1] == f"incremental_task={task:.4f} incremental_class={cls:.4f}"
+
+
+def toy_checkpoint(path, k, usage=None):
+    """A fresh net for the toy preset's 16-d blobs at K=k."""
+    arch = Architecture(input_dim=16, encoder=(8,), n_z=2, decoder=(8,), k_max=4)
+    save_checkpoint(path, init_params(arch, RngState(0, (120,)), k), usage=usage)
+    return str(path)
+
+
+@pytest.mark.parametrize("k, message", [(2, "K=2 smaller than the 4 classes"),
+                                        (4, "do not cover classes [2, 3]")])
+def test_supervised_eval_that_cannot_score_its_split_is_one_error_line(tmp_path, capsys,
+                                                                         k, message):
+    # a K=2 run trained on the pair 0:1, or a K=4 run evaluated with only
+    # that pair, against the toy split's four classes
+    args = toy_args(tmp_path, extra=["--set", "mode=supervised", "--set", "stream.mode=split_task",
+                                     "--set", "stream.task_pairs=0:1"])
+    csv = tmp_path / "eval.csv"
+    ckpt = toy_checkpoint(tmp_path / "k.ckpt", k)
+    assert main(["eval", *args, "--checkpoint", ckpt, "--csv", str(csv)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("counts", [[0.0, 0.0], [1.5, -0.5]])
+def test_export_samples_from_malformed_usage_counts_is_one_error_line(tmp_path, capsys, counts):
+    usage = UsageCounts(2)
+    usage.accumulated[:], usage.total_batches = counts, 1
+    ckpt = toy_checkpoint(tmp_path / "u.ckpt", 2, usage)
+    assert main(["export-samples", "--checkpoint", ckpt, "--out-file",
+                 str(tmp_path / "s.pgm")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage counts") and err.count("\n") == 1

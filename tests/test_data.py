@@ -66,6 +66,25 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="payload"):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("damage", ["cut in half", "corrupt header", "corrupt deflate",
+                                        "corrupt crc"])
+    def test_truncated_or_corrupt_gzip(self, tmp_path, which, damage):
+        files = write_pair(tmp_path, np.arange(200, dtype=np.uint8).reshape(2, 10, 10),
+                           np.arange(2, dtype=np.uint8), gz=True)
+        blob = bytearray(files[which].read_bytes())
+        if damage == "cut in half":
+            blob = blob[:len(blob) // 2]
+        elif damage == "corrupt header":
+            blob[0] ^= 0xFF
+        elif damage == "corrupt deflate":
+            blob[10] ^= 0xFF  # the first byte after the 10-byte gzip header
+        else:
+            blob[-8] ^= 0xFF  # the CRC of the uncompressed bytes
+        files[which].write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=f"gzip: {files[which]}"):
+            load_idx(*files)
+
     def test_count_mismatch(self, tmp_path):
         ip, _ = write_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
                            np.zeros(3, dtype=np.uint8))

@@ -44,6 +44,15 @@ def test_unnormalized_prior_rejected():
         generate(params, np.array([0.6, 0.6]), 4, RngState(0, (34,)))
 
 
+@pytest.mark.parametrize("pi", [[np.nan, np.nan], [np.nan, 1.0], [-0.5, 1.5], [0.0, 0.0]])
+def test_prior_with_nan_negative_or_zero_mass_rejected(pi):
+    # every comparison with NaN is False, so the check must pass only on
+    # what it accepts
+    params = tiny_params(k=2)
+    with pytest.raises(ValueError, match="normalized"):
+        generate(params, np.array(pi), 4, RngState(0, (36,)))
+
+
 def test_wrong_length_prior_rejected():
     params = tiny_params(k=3)
     with pytest.raises(ValueError):

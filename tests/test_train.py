@@ -8,6 +8,7 @@ from mixvae.config import apply_overrides, load_preset
 from mixvae.data import next_batch
 from mixvae.errors import ConfigError
 from mixvae.model import StepBuffers, elbo
+from mixvae.replay import take_snapshot
 from mixvae.rng import RngState, STREAM_EVAL, STREAM_SHUFFLE, substream
 from mixvae.train import (
     METRICS_HEADER,
@@ -40,18 +41,27 @@ class TestRunTrain:
         assert os.path.exists(os.path.join(cfg.out_dir, "config.txt"))
 
     def test_one_step_buffer_object_for_the_run_freed_at_its_end(self, tmp_path, monkeypatch):
-        used = []
+        used, snapshots = [], []
         fit = StepBuffers.fit
 
         def recording_fit(self, params, batch):
             used.append(self)
             return fit(self, params, batch)
+
+        def recording_take_snapshot(*args):
+            snapshots.append(take_snapshot(*args))
+            return snapshots[-1]
         monkeypatch.setattr(StepBuffers, "fit", recording_fit)
+        monkeypatch.setattr("mixvae.train.take_snapshot", recording_take_snapshot)
         # 600 steps: real and replay batches, an expansion with its finetune, eval steps
         result = run_train(toy_cfg(tmp_path))
-        assert result.expansion_log and result.snapshot_steps
+        assert result.expansion_log and len(snapshots) == len(result.snapshot_steps) > 0
         assert len(used) > 600 and all(bufs is used[0] for bufs in used)
-        assert result.params.step_buffers is None
+        # the run's own buffers are released; the snapshots only generate, so
+        # theirs were never mapped
+        assert result.params.step_buffers is not used[0]
+        assert result.params.step_buffers.rows == 0
+        assert all(snap.params.step_buffers.rows == 0 for snap in snapshots)
 
     def test_seed_determinism_byte_identical(self, tmp_path):
         cfg_a = toy_cfg(tmp_path / "a")

@@ -12,10 +12,13 @@ for config (a) the `eval --csv` file, the `export-latents` CSV, the
 `export-samples` PGM and matrix in `--checkpoint` and `--snapshots-dir`
 modes, and the `knn-sweep` CSV with default settings and in mean mode
 with a 300-point test subsample; for config (d), which is supervised,
-the `eval` stdout. With two `src/` directories it lists each in its own
-process and prints only the outputs whose digests differ (or that only
-one side wrote), as `tag preset name PARENT -> CHANGE`, and exits 1 if
-there are any: the byte-identity gate of a refactor. BLAS is pinned to
+the `eval` stdout. A last line digests the `elbo` fields and `generate`
+samples of a seeded tiny net whose decoder output biases are +-40, so
+every Bernoulli mean sits on the BERNOULLI_EPS clamp and the line
+changes with the clamp's value. With two `src/` directories it lists
+each in its own process and prints only the outputs whose digests differ
+(or that only one side wrote), as `tag preset name PARENT -> CHANGE`,
+and exits 1 if there are any: the byte-identity gate of a refactor. BLAS is pinned to
 one thread so that summation order does not depend on the machine's core
 count.
 """
@@ -87,6 +90,25 @@ def read_side(tag: str, preset: str, overrides: list[str], out: str) -> dict[str
     return {name: digest(path(name)) for name in names}
 
 
+def clamp_digest() -> str:
+    """Digest of a tiny net's `elbo` and `generate` outputs on the Bernoulli clamp."""
+    import numpy as np
+    from mixvae.model import Architecture, elbo, generate, init_params
+    from mixvae.rng import RngState
+
+    arch = Architecture(input_dim=6, encoder=(5,), n_z=2, decoder=(4,), k_max=3)
+    params = init_params(arch, RngState(0, (1,)), k_init=3)
+    params[params.layers["dec"][-1][1]] = [40.0, -40.0] * 3
+    x = RngState(0, (2,)).uniform(0.0, 1.0, (5, 6))
+    bd = elbo(x, params, RngState(0, (3,)))
+    samples, labels = generate(params, np.full(3, 1 / 3), 5, RngState(0, (4,)))
+    h = hashlib.sha256()
+    for a in (bd.task_posterior, bd.recon_per_component, bd.gauss_kl_per_component,
+              bd.cat_kl, bd.total, samples, labels):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
 def compare(parent_src: str, change_src: str) -> int:
     """Print the digest lines that differ between two `src/` directories."""
     parent, change = (
@@ -123,6 +145,7 @@ def main(argv: list[str]) -> int:
                 print(f"{tag} {preset} {name} {digest(os.path.join(out, name))}")
             for name, value in read_side(tag, preset, overrides, out).items():
                 print(f"{tag} {preset} {name} {value}")
+    print(f"clamp tiny-net elbo+generate {clamp_digest()}")
     return 0
 
 
