@@ -15,6 +15,9 @@ the per-element operations of the whole-array expressions
 `m += (1-b1)*g`, `v += (1-b2)*(g*g)` and
 `p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)` in their order, so the update is
 bitwise what those expressions give and trained outputs do not move.
+A float32 gradient (`arch.compute_dtype = float32`) is widened a chunk at
+a time into a third scratch block first, which is exact, so the moments
+and their arithmetic stay float64.
 Dynamic expansion grows the moments with the parameters
 (`model.add_component_rows`), with zero rows for the new component.
 """
@@ -51,7 +54,7 @@ class AdamState:
         self.t = 0
         self.m = FlatBuffers({})
         self.v = FlatBuffers({})
-        self._scratch = np.empty((2, 0))  # two blocks of min(CHUNK, n), made by adam_step
+        self._scratch = np.empty((3, 0))  # three blocks of min(CHUNK, n), made by adam_step
 
 
 def hyperparameter_problem(lr: float, beta1: float, beta2: float, eps: float) -> str | None:
@@ -94,7 +97,7 @@ def adam_step(params: FlatBuffers, grads: FlatBuffers, state: AdamState) -> None
     if not m.size == v.size == p.size:
         raise ShapeError(f"Adam moments of {m.size} and {v.size} values for {p.size} parameters")
     if state._scratch.shape[1] < min(CHUNK, p.size):
-        state._scratch = np.empty((2, min(CHUNK, p.size)))
+        state._scratch = np.empty((3, min(CHUNK, p.size)))
     state.t += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     c1, c2 = 1.0 - b1, 1.0 - b2
@@ -103,7 +106,10 @@ def adam_step(params: FlatBuffers, grads: FlatBuffers, state: AdamState) -> None
     for lo in range(0, p.size, CHUNK):
         hi = min(lo + CHUNK, p.size)
         pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-        t, u = state._scratch[:, :hi - lo]
+        t, u, wide = state._scratch[:, :hi - lo]
+        if gc.dtype != pc.dtype:
+            np.copyto(wide, gc)
+            gc = wide
         mc *= b1
         np.multiply(gc, c1, out=t)
         mc += t

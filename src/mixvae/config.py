@@ -59,6 +59,7 @@ class ArchConfig:
     n_z: int = 32
     k_init: int = 1
     k_max: int = 25
+    compute_dtype: str = "float64"  # float64 | float32: the training step's forward and backward
 
 
 @dataclass
@@ -114,6 +115,7 @@ _CHOICES = {
     "mode": ("unsupervised", "supervised"),
     "data.source": ("idx", "matrix", "blobs"),
     "stream.mode": STREAM_MODES,
+    "arch.compute_dtype": ("float64", "float32"),
     "replay.mode": ("off", "mgr", "smgr"),
     "replay.snapshot": ("fixed", "dynamic"),
     "eval.latent_mode": ("sampled", "mean"),
@@ -284,6 +286,7 @@ _FULL_MNIST = {
     "arch.decoder": (500, 500),
     "arch.n_z": 32,
     "arch.k_max": 25,
+    "arch.compute_dtype": "float32",
     "opt.lr": 1e-3,
     "expansion.c_new": -200.0,
     "eval.cadence": 2500,

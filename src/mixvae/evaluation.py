@@ -42,6 +42,7 @@ class EvalReport:
     n_active_components: int
     confusion: np.ndarray          # (C, K) counts: class x argmax component
     per_class_accuracy: np.ndarray  # (C,)
+    classes: tuple[int, ...]       # the C scored classes, in row order
 
     def summary(self) -> str:
         knn = " ".join(f"knn{k}={v:.4f}" for k, v in sorted(self.knn_error.items()))
@@ -183,22 +184,33 @@ def knn_errors(train_latents: np.ndarray, train_labels: np.ndarray,
     return {k: 1.0 - correct[k] / n_test for k in ks}
 
 
+def _only(dataset: Dataset, classes: tuple[int, ...]) -> Dataset:
+    """The points of `dataset` whose label is one of `classes`."""
+    return dataset.subset(np.flatnonzero(np.isin(dataset.labels, classes)))
+
+
 def evaluate(params: ModelParams, test_dataset: Dataset, train_dataset: Dataset,
              rng: RngState, step: int = 0, knn_train_subsample: int = 10000,
              knn_test_subsample: int = 0, latent_mode: str = "sampled",
-             ks: tuple[int, ...] = KNN_KS) -> EvalReport:
-    """All report fields in one read-only pass.
+             ks: tuple[int, ...] = KNN_KS, classes: tuple[int, ...] | None = None) -> EvalReport:
+    """All report fields in one read-only pass, over the points of `classes`
+    (every class when None; see `train.run_classes`).
 
-    Cluster accuracy, confusion, and per-class accuracy use the full
-    test set. The k-NN fit uses a seeded subsample of the training set
-    (and optionally of the test set) to bound cost; latents for both
-    sides are produced in the same mode from the given rng. When the k-NN
-    test side is the whole test set, its encoding also gives the argmax
-    components, so the test set is encoded once.
+    Cluster accuracy, confusion, and per-class accuracy use the whole
+    test set of those classes, the confusion and per-class accuracy one
+    row per class in ascending order. The k-NN fit uses a seeded
+    subsample of their training set (and optionally of their test set)
+    to bound cost; latents for both sides are produced in the same mode
+    from the given rng. When the k-NN test side is the whole test set,
+    its encoding also gives the argmax components, so the test set is
+    encoded once.
     """
+    c = max(test_dataset.n_classes, train_dataset.n_classes)
+    classes = tuple(range(c)) if classes is None else tuple(sorted(set(classes)))
+    if classes != tuple(range(c)):
+        test_dataset, train_dataset = _only(test_dataset, classes), _only(train_dataset, classes)
     if len(test_dataset) == 0:
         raise ValueError("empty test set")
-    c = max(test_dataset.n_classes, train_dataset.n_classes)
 
     n_sub = min(knn_train_subsample, len(train_dataset))
     sub_idx = rng.permutation(len(train_dataset))[:n_sub]
@@ -218,14 +230,14 @@ def evaluate(params: ModelParams, test_dataset: Dataset, train_dataset: Dataset,
     mapping = majority_mapping(assignments, test_dataset.labels, params.k, c)
     acc = float(np.mean(mapping[assignments] == test_dataset.labels))
 
-    per_class = np.zeros(c)
-    for cls in range(c):
+    per_class = np.zeros(len(classes))
+    for i, cls in enumerate(classes):
         members = assignments[test_dataset.labels == cls]
-        per_class[cls] = float(np.mean(mapping[members] == cls)) if len(members) else 0.0
+        per_class[i] = float(np.mean(mapping[members] == cls)) if len(members) else 0.0
 
     return EvalReport(step=step, cluster_accuracy=acc, knn_error=knn,
-                      n_active_components=params.k, confusion=confusion,
-                      per_class_accuracy=per_class)
+                      n_active_components=params.k, confusion=confusion[list(classes)],
+                      per_class_accuracy=per_class, classes=classes)
 
 
 def incremental_class_accuracy(params: ModelParams, test_dataset: Dataset) -> float:

@@ -1,8 +1,11 @@
 """Stable elementwise kernels (log_softmax, softplus, sigmoid), Glorot init,
 and a finite-difference oracle; the dense ReLU layers are `model._dense_relu`.
 
-All arrays are 64-bit floats. Kernels are pure functions; they either guard
-against non-finite output (stable branch forms) or raise NumericError.
+`log_softmax`, `softplus` and `sigmoid` compute in float32 when given float32
+arrays (the training step's compute dtype, `arch.compute_dtype`) and in
+float64 for everything else; the oracle and the initialiser are float64.
+Kernels are pure functions; they either guard against non-finite output
+(stable branch forms) or raise NumericError.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def as_float(x) -> np.ndarray:
+    """x itself when it is a float32 array, else `as_f64(x)`."""
+    return x if isinstance(x, np.ndarray) and x.dtype == np.float32 else as_f64(x)
+
+
 def check_finite(name: str, a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericError(f"{name} contains non-finite values")
@@ -27,7 +35,7 @@ def check_finite(name: str, a: np.ndarray) -> np.ndarray:
 def log_softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """v - m - ln(sum(exp(v - m))) along `axis`, m the max along it; always
     finite for finite inputs. A non-finite max raises NumericError."""
-    v = as_f64(v)
+    v = as_float(v)
     m = np.maximum.reduce(v, axis=axis, keepdims=True)
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise NumericError("log_softmax requires finite inputs")
@@ -39,9 +47,10 @@ def softplus(x, e: np.ndarray | None = None) -> np.ndarray:
     """ln(1 + e^x) in branch form: max(x,0) + log1p(e), e = e^-|x| (`e` when given).
 
     Strictly positive for all x above the subnormal underflow point
-    (~ -744); below that e^x has no float64 representation at all.
+    (~ -744 in float64, ~ -103 in float32); below that e^x has no
+    representation at all.
     """
-    x = as_f64(x)
+    x = as_float(x)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)) if e is None else e)
 
 
@@ -52,7 +61,7 @@ def sigmoid(x, e: np.ndarray | None = None) -> np.ndarray:
     e / (1 + e) below: one divide of maximum(e, x >= 0), as e <= 1, which
     gives the same bits as the two divides of the branch form.
     """
-    x = as_f64(x)
+    x = as_float(x)
     e = np.exp(-np.abs(x)) if e is None else e
     return np.maximum(e, x >= 0) / (1.0 + e)
 

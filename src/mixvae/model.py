@@ -31,6 +31,13 @@ forward pass, so forward and backward always see the same noise.
 each `ModelParams` owns, so a training run's steps allocate no decoder-sized
 array. They return new arrays (the gradients, the `ElboBreakdown` fields),
 never views of the buffers.
+
+They compute in the parameters' `compute_dtype`. Under float32 the step
+buffers hold a float32 copy of the parameter vector, refreshed on every
+call, and the batch and noise are rounded to float32, so the whole forward
+and backward pass, its breakdown and its gradient vector are float32. The
+parameter vector itself stays float64, and so does every other function
+here (evaluation, `decode`, `generate`).
 """
 
 from __future__ import annotations
@@ -110,7 +117,7 @@ def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 class FlatBuffers(Mapping):
-    """Named arrays that are reshaped views of one contiguous float64 vector.
+    """Named arrays that are reshaped views of one contiguous float64 (or float32) vector.
 
     The views tile `vector` in the order of `shapes`, so a write through
     `self[name]` reaches the vector, and one pass over the vector (an Adam
@@ -126,10 +133,10 @@ class FlatBuffers(Mapping):
             spans = tuple(zip(shapes, [0] + stops[:-1], stops, shapes.values()))
         size = spans[-1][2] if spans else 0
         vector = np.zeros(size) if vector is None else vector
-        if (vector.shape != (size,) or vector.dtype != np.float64
+        if (vector.shape != (size,) or vector.dtype not in (np.float64, np.float32)
                 or not vector.flags.c_contiguous):
             raise ShapeError(f"{vector.dtype} vector of shape {vector.shape} for a layout "
-                             f"of {size} float64 values")
+                             f"of {size} float64 or float32 values")
         self.shapes, self.spans, self.vector = shapes, spans, vector
         self._views = {name: vector[lo:hi].reshape(shape) for name, lo, hi, shape in spans}
 
@@ -152,17 +159,19 @@ class FlatBuffers(Mapping):
 class ModelParams(FlatBuffers):
     """All learnable buffers in `param_spec` order, as views of one float64
     vector (`vector`, used as it is, or zeros when None), plus the active
-    component count K and the object's own `StepBuffers`, unmapped until
-    its first decode.
+    component count K, the dtype `backward` and `elbo` compute in, and the
+    object's own `StepBuffers`, unmapped until its first decode.
     """
 
-    def __init__(self, arch: Architecture, k: int, vector: np.ndarray | None = None):
+    def __init__(self, arch: Architecture, k: int, vector: np.ndarray | None = None,
+                 compute_dtype=np.float64):
         if not 1 <= k <= arch.k_max:
             raise ShapeError(f"K={k} outside [1, K_max={arch.k_max}]")
         shapes = _shapes(arch, k)
         super().__init__(shapes, vector)
         self.arch = arch
         self.k = k
+        self.compute_dtype = np.dtype(compute_dtype)
         self.step_buffers = StepBuffers()
         # (weight, bias) names of each "enc" and "dec" dense layer, input side
         # first; the registry lists each dense weight just before its bias.
@@ -172,8 +181,9 @@ class ModelParams(FlatBuffers):
                        for stack in ("enc", "dec")}
 
     def clone(self) -> "ModelParams":
-        """Independent copy: one copy of the parameter vector, unmapped step buffers."""
-        return ModelParams(self.arch, self.k, self.vector.copy())
+        """Independent copy: one copy of the parameter vector, the same compute
+        dtype, unmapped step buffers."""
+        return ModelParams(self.arch, self.k, self.vector.copy(), self.compute_dtype)
 
     def add_component_copy(self, parent: int) -> None:
         """Append component K+1 as an exact copy of component `parent`."""
@@ -187,7 +197,8 @@ class ModelParams(FlatBuffers):
 
 
 class StepBuffers:
-    """Decoder work arrays of `backward` and `elbo`, reused from call to call.
+    """Decoder work arrays of `backward` and `elbo` in the compute dtype,
+    reused from call to call.
 
     All are views of one anonymous memory mapping, which freeing returns
     to the system whole. A block from malloc would change where glibc puts
@@ -202,34 +213,48 @@ class StepBuffers:
     - the output layer's logits, which the Bernoulli head overwrites with
       the means and `backward` then with the logits' gradient, and the
       clamp mask;
-    - the Bernoulli head's scratch blocks.
+    - the Bernoulli head's scratch blocks;
+    - in a compute dtype other than the parameters' float64, the shadow:
+      a copy of the parameter vector in that dtype.
     They hold the marginal decode of a batch, B*K rows, and the
     constrained loss uses their first B rows. `fit` makes the block again
-    only when K changes (expansion) or a larger batch arrives, so a
-    long-lived object touches no new memory per step.
+    only when K changes (expansion), a larger batch arrives or the dtype
+    changes, so a long-lived object touches no new memory per step.
     """
 
     def __init__(self):
         self.arch: Architecture | None = None
         self.k = 0
         self.rows = 0
+        self.dtype = np.dtype(np.float64)
+        self.shadow: FlatBuffers | None = None
 
-    def fit(self, params: ModelParams, batch: int) -> "StepBuffers":
-        """Make sure the buffers fit `params` and a batch of `batch` samples."""
-        rows = batch * params.k
-        if rows <= self.rows and (self.arch, self.k) == (params.arch, params.k):
+    def fit(self, params: ModelParams, batch: int, dtype=np.float64) -> "StepBuffers":
+        """Make sure the buffers fit `params` and a batch of `batch` samples in `dtype`."""
+        rows, dtype = batch * params.k, np.dtype(dtype)
+        if rows <= self.rows and (self.arch, self.k, self.dtype) == (params.arch, params.k, dtype):
             return self
         d, widths = params.arch.input_dim, params.arch.decoder
         block = min(rows * d, max(HEAD_BLOCK, params.k * d))
-        floats = [*((rows, w) for w in widths), (rows, d), (3, block)]
+        n_shadow = 0 if dtype == params.vector.dtype else params.vector.size
+        floats = [(n_shadow,), *((rows, w) for w in widths), (rows, d), (3, block)]
         bools = [*((rows, w) for w in widths), (rows, d), (block,)]
-        n_float = sum(math.prod(shape) for shape in floats)
-        size = 8 * n_float + sum(math.prod(shape) for shape in bools)
+        n_bytes = dtype.itemsize * sum(math.prod(shape) for shape in floats)
+        size = n_bytes + sum(math.prod(shape) for shape in bools)
         memory = np.frombuffer(mmap.mmap(-1, size), np.uint8)
-        *self.acts, self.out, self.scratch = _carve(memory[:8 * n_float].view(np.float64), floats)
-        *self.masks, self.p_mask, self.flags = _carve(memory[8 * n_float:].view(np.bool_), bools)
-        self.arch, self.k, self.rows = params.arch, params.k, rows
+        shadow, *self.acts, self.out, self.scratch = _carve(memory[:n_bytes].view(dtype), floats)
+        *self.masks, self.p_mask, self.flags = _carve(memory[n_bytes:].view(np.bool_), bools)
+        self.shadow = FlatBuffers(params.shapes, shadow, params.spans) if n_shadow else None
+        self.arch, self.k, self.rows, self.dtype = params.arch, params.k, rows, dtype
         return self
+
+    def weights(self, params: ModelParams) -> FlatBuffers:
+        """The parameters in the compute dtype: `params` itself in its own
+        dtype, else the shadow, refreshed from `params.vector`."""
+        if self.shadow is None:
+            return params
+        np.copyto(self.shadow.vector, params.vector)
+        return self.shadow
 
 
 def add_component_rows(arch: Architecture, k: int, vector: np.ndarray,
@@ -400,6 +425,7 @@ class ElboBreakdown:
 
 @dataclass
 class _Cache:
+    w: FlatBuffers      # the parameters in the compute dtype
     x: np.ndarray
     enc: list           # (input, relu mask) per encoder layer
     h: np.ndarray
@@ -475,7 +501,7 @@ def _bernoulli_head(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
     x ln p + (1 - x) ln(1 - p). Every element goes through the operations
     of the whole-array expressions in their order, so the bits are theirs.
     """
-    recon = np.empty(p.shape[:2])
+    recon = np.empty(p.shape[:2], p.dtype)
     for s in _sample_blocks(p.shape):
         pb, mb, xb = p[s], p_mask[s], x[s, None, :]
         e = bufs.scratch[0, :pb.size].reshape(pb.shape)
@@ -509,14 +535,18 @@ def _bernoulli_head(x: np.ndarray, p: np.ndarray, p_mask: np.ndarray,
 def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
              y: np.ndarray | None = None) -> _Cache:
     """Cached forward pass of the marginalized objective, or of the
-    component-constrained one at labels y, decoding into `params.step_buffers`."""
-    arch, views = params.arch, params._views
+    component-constrained one at labels y, decoding into `params.step_buffers`
+    in `params.compute_dtype`, to which x and eps are rounded."""
+    arch = params.arch
     b, k, nz = x.shape[0], params.k, arch.n_z
     if eps.shape != (b, k, nz):
         raise ShapeError(f"eps shape {eps.shape} != {(b, k, nz)}")
-    bufs = params.step_buffers.fit(params, b)
+    bufs = params.step_buffers.fit(params, b, params.compute_dtype)
+    w = bufs.weights(params)
+    views = w._views
+    x, eps = x.astype(bufs.dtype, copy=False), eps.astype(bufs.dtype, copy=False)
 
-    h, enc = _dense_relu(x, params, params.layers["enc"])
+    h, enc = _dense_relu(x, w, params.layers["enc"])
 
     ln_q = log_softmax(h @ views["task_w"].T + views["task_b"], axis=1)
     q = np.exp(ln_q)
@@ -534,7 +564,7 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
     z_dec = z.reshape(b * k, nz) if y is None else z[np.arange(b), y]
     n = z_dec.shape[0]
     *hidden, (w_out, b_out) = params.layers["dec"]
-    g, dec = _dense_relu(z_dec, params, hidden,
+    g, dec = _dense_relu(z_dec, w, hidden,
                          [(act[:n], mask[:n]) for act, mask in zip(bufs.acts, bufs.masks)])
     o = np.matmul(g, views[w_out].T, out=bufs.out[:n])
     o += views[b_out]
@@ -547,7 +577,7 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
     klg = np.add.reduce(np.log(psig / sig) + 0.5 * ((sig / psig) ** 2 + delta * delta) - 0.5,
                         axis=2)
 
-    ln_qk = ln_q + np.log(k)
+    ln_qk = ln_q + bufs.dtype.type(np.log(k))  # np.log(k) alone would widen float32
     cat_kl = np.add.reduce(q * ln_qk, axis=1)
     if y is None:
         value = np.add.reduce(q * (recon - klg), axis=1) - cat_kl
@@ -556,7 +586,7 @@ def _forward(params: ModelParams, x: np.ndarray, eps: np.ndarray,
         rows = np.arange(b)
         value = recon[:, 0] - klg[rows, y] + ln_q[rows, y]
         breakdown = ElboBreakdown(q, None, None, cat_kl, None)
-    return _Cache(x, enc, h, ln_q, ln_qk, rho, e_rho, mu, sig, eps, dec, g, p, p_mask, psig,
+    return _Cache(w, x, enc, h, ln_q, ln_qk, rho, e_rho, mu, sig, eps, dec, g, p, p_mask, psig,
                   value, breakdown)
 
 
@@ -609,14 +639,21 @@ def _backward(params: ModelParams, cache: _Cache,
               y_obs: np.ndarray | None) -> tuple[float, FlatBuffers]:
     """Reverse-mode pass for the negative batch-mean objective.
 
-    The gradients get a new vector in the parameters' layout on every call,
-    and each of its views is written exactly once. The decoder's work
-    arrays in the cache are overwritten on the way.
+    The gradients get a new vector in the parameters' layout and the compute
+    dtype on every call, and each of its views is written exactly once. The
+    decoder's work arrays in the cache are overwritten on the way.
+
+    A float32 gradient vector is the first half of a block of 8 bytes per
+    parameter, the size of a float64 one. From a 4-byte block, the hole a
+    freed gradient leaves in glibc's heap is too small for the final
+    `evaluate`'s arrays, which then grow the heap by about 18 MB that stays
+    after the run (perfbench's wide-k1-iid: peak RSS 232 MB against 206).
     """
-    arch, views = params.arch, params._views
+    arch, views, dtype = params.arch, cache.w._views, cache.x.dtype
     b, k, nz = cache.x.shape[0], params.k, arch.n_z
     scale = -1.0 / b
-    grads = FlatBuffers(params.shapes, np.empty(params.vector.size), params.spans)
+    n = params.vector.size
+    grads = FlatBuffers(params.shapes, np.empty(n * 8 // dtype.itemsize, dtype)[:n], params.spans)
     out = grads._views
     bd = cache.breakdown
     q = bd.task_posterior
@@ -631,7 +668,7 @@ def _backward(params: ModelParams, cache: _Cache,
         g_r_dec = g_r
     else:
         rows = np.arange(b)
-        onehot = np.zeros((b, k))
+        onehot = np.zeros((b, k), dtype)
         onehot[rows, y_obs] = 1.0
         g_r = scale * onehot
         g_t = scale * (onehot - q)
@@ -652,13 +689,13 @@ def _backward(params: ModelParams, cache: _Cache,
     *hidden, (w_out, b_out) = params.layers["dec"]
     np.matmul(g_o.T, cache.g, out=out[w_out])
     np.add.reduce(g_o, axis=0, out=out[b_out])
-    g_a0 = _dense_relu_backward(np.matmul(g_o, views[w_out], out=cache.g), params, hidden,
+    g_a0 = _dense_relu_backward(np.matmul(g_o, views[w_out], out=cache.g), cache.w, hidden,
                                 cache.dec, grads)
     g_z_dec = g_a0 @ views[hidden[0][0]]
     if y_obs is None:
         g_z = g_z_dec.reshape(b, k, nz)
     else:
-        g_z = np.zeros((b, k, nz))
+        g_z = np.zeros((b, k, nz), dtype)
         g_z[rows, y_obs] = g_z_dec
 
     # Gaussian KL branch, which holds the prior table's gradients.
@@ -681,7 +718,7 @@ def _backward(params: ModelParams, cache: _Cache,
     g_h += g_a_flat @ views["lat_w"].reshape(k * 2 * nz, -1)
 
     # Shared encoder.
-    _dense_relu_backward(g_h, params, params.layers["enc"], cache.enc, grads)
+    _dense_relu_backward(g_h, cache.w, params.layers["enc"], cache.enc, grads)
 
     return loss, grads
 
@@ -690,7 +727,7 @@ def relu_margin(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> float:
     """Smallest |input| of any encoder or decoder ReLU unit at inputs x and noise eps."""
     cache = _forward(params, as_f64(x), eps)
     layers = params.layers["enc"] + params.layers["dec"][:-1]
-    return min(float(np.min(np.abs(h @ params[w].T + params[b])))
+    return min(float(np.min(np.abs(h @ cache.w[w].T + cache.w[b])))
                for (w, b), (h, _) in zip(layers, cache.enc + cache.dec))
 
 

@@ -97,8 +97,14 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     return train, valid, test
 
 
+def run_classes(cfg: ExperimentConfig, train: Dataset) -> tuple[int, ...]:
+    """The classes a run streams and is scored on: `stream.class_order`
+    when it is set, otherwise every class of the training set."""
+    return cfg.stream.class_order or tuple(range(train.n_classes))
+
+
 def build_stream_spec(cfg: ExperimentConfig, train: Dataset) -> StreamSpec:
-    order = cfg.stream.class_order or tuple(range(train.n_classes))
+    order = run_classes(cfg, train)
     pairs = cfg.stream.task_pairs
     if cfg.stream.mode == "split_task" and not pairs:
         if train.n_classes % 2:
@@ -147,6 +153,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
     arch = Architecture(input_dim=train.dim, encoder=cfg.arch.encoder, n_z=cfg.arch.n_z,
                         decoder=cfg.arch.decoder, k_max=cfg.arch.k_max)
     params = init_params(arch, substream(cfg.seed, STREAM_INIT), cfg.arch.k_init)
+    params.compute_dtype = np.dtype(cfg.arch.compute_dtype)
     adam = AdamState(lr=cfg.opt.lr, beta1=cfg.opt.beta1, beta2=cfg.opt.beta2, eps=cfg.opt.eps)
     usage = UsageCounts(params.k)
     buffer = PoorSampleBuffer(cfg.expansion.n_new, cfg.expansion.c_new,
@@ -232,7 +239,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
             report = evaluate(params, test, train, substream(cfg.seed, STREAM_EVAL, step),
                               step=step, knn_train_subsample=cfg.eval.knn_train_subsample,
                               knn_test_subsample=cfg.eval.knn_test_subsample,
-                              latent_mode=cfg.eval.latent_mode)
+                              latent_mode=cfg.eval.latent_mode, classes=spec.class_order)
             reports.append(report)
             with open(metrics_path, "a") as fh:
                 fh.write(metrics_row(step, loss, float(np.mean(bd.total)),
@@ -240,7 +247,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
                                      len(snapshot_steps) - logged[0],
                                      exp_state.expansion_log[logged[1]:]))
             with open(per_class_path, "a") as fh:
-                for cls, acc in enumerate(report.per_class_accuracy):
+                for cls, acc in zip(report.classes, report.per_class_accuracy):
                     fh.write(f"{step},{cls},{_fmt(acc)}\n")
             logged = (len(snapshot_steps), len(exp_state.expansion_log))
 
@@ -284,7 +291,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint_path, split: str = "test",
     report = evaluate(params, target, train, substream(cfg.seed, STREAM_EVAL, loaded.step),
                       step=loaded.step, knn_train_subsample=cfg.eval.knn_train_subsample,
                       knn_test_subsample=cfg.eval.knn_test_subsample,
-                      latent_mode=cfg.eval.latent_mode)
+                      latent_mode=cfg.eval.latent_mode, classes=run_classes(cfg, train))
     print(report.summary())
     if incremental:
         print(incremental)

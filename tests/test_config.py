@@ -118,6 +118,15 @@ def test_preset_protocol_shapes():
     assert iid.arch.n_z == 50
 
 
+def test_full_scale_presets_compute_in_float32():
+    for name in preset_names():
+        want = "float32" if name.startswith("mnist-") or name == "knn-dim-sweep" else "float64"
+        assert load_preset(name).arch.compute_dtype == want, name
+    assert ExperimentConfig().arch.compute_dtype == "float64"
+    with pytest.raises(ConfigError, match="compute_dtype"):
+        parse_config("arch.compute_dtype = float16\n")
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         load_preset("mnist-quantum")

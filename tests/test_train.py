@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from mixvae import evaluation
 from mixvae.checkpoint import load_checkpoint
 from mixvae.config import apply_overrides, load_preset
-from mixvae.data import next_batch
+from mixvae.data import Dataset, next_batch, save_matrix_dataset
 from mixvae.errors import ConfigError
 from mixvae.model import StepBuffers, elbo
 from mixvae.replay import take_snapshot
@@ -44,9 +45,9 @@ class TestRunTrain:
         used, snapshots = [], []
         fit = StepBuffers.fit
 
-        def recording_fit(self, params, batch):
+        def recording_fit(self, *args):
             used.append(self)
-            return fit(self, params, batch)
+            return fit(self, *args)
 
         def recording_take_snapshot(*args):
             snapshots.append(take_snapshot(*args))
@@ -275,6 +276,38 @@ class TestLabelTriggeredExpansion:
     def test_skipped_label_or_capacity_raises(self, tmp_path, extra, match):
         with pytest.raises(ConfigError, match=match):
             run_train(self.cfg(tmp_path, 4, 2, *extra))
+
+
+class TestClassSubset:
+    def test_a_class_order_subset_is_scored_on_its_own_classes(self, tmp_path, monkeypatch):
+        # 5 classes in the files, 3 in the stream: evaluation sees only those 3
+        rng = np.random.default_rng(3)
+        for split, n in (("train", 60), ("test", 20)):
+            labels = np.repeat(np.arange(5), n)
+            save_matrix_dataset(tmp_path / f"{split}.mvds",
+                                Dataset(rng.uniform(0, 1, (labels.size, 8)), labels, n_classes=5))
+        knn_labels = []
+        real_knn = evaluation.knn_errors
+
+        def recording_knn(train_z, train_labels, test_z, test_labels, ks):
+            knn_labels.append((set(train_labels.tolist()), set(test_labels.tolist())))
+            return real_knn(train_z, train_labels, test_z, test_labels, ks)
+        monkeypatch.setattr(evaluation, "knn_errors", recording_knn)
+        cfg = toy_cfg(tmp_path, steps=300, **{
+            "data.source": "matrix", "data.dir": tmp_path, "stream.class_order": "4,1,2",
+            "eval.cadence": 100, "eval.knn_train_subsample": 100})
+        result = run_train(cfg)
+        stream = {1, 2, 4}
+        for report in result.reports:
+            assert report.classes == (1, 2, 4)
+            assert report.confusion.shape == (3, report.n_active_components)
+            assert report.confusion.sum(axis=1).tolist() == [20, 20, 20]
+            assert report.per_class_accuracy.shape == (3,)
+        assert len(knn_labels) == 3 and all(pair == (stream, stream) for pair in knn_labels)
+        rows = open(os.path.join(cfg.out_dir, "per_class.csv")).read().splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == [1, 2, 4] * 3
+        assert run_eval(cfg, result.checkpoint_path).classes == (1, 2, 4)
+        assert knn_labels[-1] == (stream, stream)
 
 
 class TestRunEval:

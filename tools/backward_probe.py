@@ -7,24 +7,25 @@ Imports `mixvae` from SRC_DIR (the `src/` directory of a checkout) and
 times `model.backward` at batch 64 on the 784 -> 1200 -> 600 -> 300 -> 150
 encoder, n_z 32 and the 500 -> 500 decoder, for K = 1, 10 and 25, under
 the marginalized loss and under the component-constrained loss (labels
-drawn uniformly over the K components). Inputs are seeded uniform
-values in [0, 1]. The calls decode into one `StepBuffers` object set on
-the parameters, as in `run_train`; a checkout without `StepBuffers`
-gets fresh arrays on every call. Each cell is the median wall time of 5
-timed calls after one untimed call, then the minor page faults and the
-system CPU time per timed call (`resource.getrusage` over the 5 calls).
+drawn uniformly over the K components), in each compute dtype
+(`ModelParams.compute_dtype`: float64, and float32 as the full-scale
+presets train). Inputs are seeded uniform values in [0, 1]. Each cell
+is the median wall time of 5 timed calls after one untimed call, then
+the minor page faults and the system CPU time per timed call
+(`resource.getrusage` over the 5 calls).
 
 A second table times the calls whose cost is per-call overhead rather
 than arithmetic, in microseconds: the toy net of the blob presets
 (16 -> 32 -> 16 encoder, n_z 4, 16 -> 32 decoder, batch 64, K 4) and
 the gradcheck net (6 -> 5 -> 4 encoder, n_z 2, 4 -> 5 decoder, batch 2,
-K 3). Each cell is the median over 25 rounds of the mean of 40 calls.
+K 3), in float64. Each cell is the median over 25 rounds of the mean of 40 calls.
 BLAS is pinned to one thread, as in perfbench, so that the numbers do
 not depend on the machine's core count.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import resource
 import sys
@@ -35,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 BATCH = 64
 KS = (1, 10, 25)
+DTYPES = ("float64", "float32")
 REPEATS = 5
 # (name, Architecture keywords, batch, K) of the small nets.
 SMALL_NETS = (
@@ -50,7 +52,6 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, os.path.abspath(argv[0]))
     import numpy as np
-    from mixvae import model
     from mixvae.model import Architecture, backward, draw_eps, init_params
     from mixvae.rng import RngState
 
@@ -58,13 +59,12 @@ def main(argv: list[str]) -> int:
                         decoder=(500, 500), k_max=max(KS))
     print(f"backward ms (median of {REPEATS}), minor faults and system ms per call; "
           f"batch {BATCH}, one BLAS thread")
-    print("| K | marginal loss | constrained loss |")
-    print("|---|---|---|")
-    for k in KS:
+    print("| K | dtype | marginal loss | constrained loss |")
+    print("|---|---|---|---|")
+    for k, dtype in itertools.product(KS, DTYPES):
         rng = RngState(0, (k,))
         params = init_params(arch, rng, k_init=k)
-        if hasattr(model, "StepBuffers"):
-            params.step_buffers = model.StepBuffers()
+        params.compute_dtype = np.dtype(dtype)
         x = rng.uniform(0.0, 1.0, (BATCH, arch.input_dim))
         eps = draw_eps(params, BATCH, rng)
         y = rng.integers(k, size=BATCH)
@@ -82,7 +82,7 @@ def main(argv: list[str]) -> int:
             sys_ms = 1e3 * (r1.ru_stime - r0.ru_stime) / REPEATS
             cells.append(f"{1e3 * float(np.median(times)):.0f} ms, {faults:.0f} faults, "
                          f"{sys_ms:.1f} sys ms")
-        print(f"| {k} | {cells[0]} | {cells[1]} |")
+        print(f"| {k} | {dtype} | {cells[0]} | {cells[1]} |")
 
     print(f"\nbackward us (median over {ROUNDS} rounds of {CALLS} calls), one BLAS thread")
     print("| net | batch | K | marginal loss | constrained loss |")
@@ -90,8 +90,6 @@ def main(argv: list[str]) -> int:
     for name, shape, batch, k in SMALL_NETS:
         rng = RngState(1, (k,))
         params = init_params(Architecture(**shape), rng, k_init=k)
-        if hasattr(model, "StepBuffers"):
-            params.step_buffers = model.StepBuffers()
         x = rng.uniform(0.0, 1.0, (batch, shape["input_dim"]))
         eps = draw_eps(params, batch, rng)
         y = rng.integers(k, size=batch)

@@ -1,4 +1,4 @@
-"""Output digests of the four pinned toy configs, for byte-identity checks.
+"""Output digests of the pinned toy configs, for byte-identity checks.
 
 Usage: python3 tools/pinned_digests.py SRC_DIR
        python3 tools/pinned_digests.py PARENT_SRC CHANGE_SRC
@@ -15,7 +15,10 @@ with a 300-point test subsample; for config (d), which is supervised,
 the `eval` stdout. A last line digests the `elbo` fields and `generate`
 samples of a seeded tiny net whose decoder output biases are +-40, so
 every Bernoulli mean sits on the BERNOULLI_EPS clamp and the line
-changes with the clamp's value. With two `src/` directories it lists
+changes with the clamp's value. After it, one line digests all the
+training outputs of a short run of config (e), which trains in float32
+(`arch.compute_dtype`), together; a tree without that key prints no such
+line. With two `src/` directories it lists
 each in its own process and prints only the outputs whose digests differ
 (or that only one side wrote), as `tag preset name PARENT -> CHANGE`,
 and exits 1 if there are any: the byte-identity gate of a refactor. BLAS is pinned to
@@ -45,6 +48,9 @@ PINNED = {
                                 "replay.mode=smgr", "stream.total_steps=800",
                                 "eval.cadence=400"]),
 }
+# Trained in float32: one digest over every output file of the run.
+FLOAT32 = ("e", "toy-blobs-mgr-dyn", ["stream.total_steps=1200", "eval.cadence=400",
+                                      "arch.compute_dtype=float32"])
 
 
 def digest(path: str) -> str:
@@ -109,6 +115,28 @@ def clamp_digest() -> str:
     return h.hexdigest()[:16]
 
 
+def float32_digest() -> str | None:
+    """Digest of config (e)'s training outputs; None when the tree has no
+    `arch.compute_dtype` key."""
+    from mixvae.config import apply_overrides, load_preset
+    from mixvae.errors import ConfigError
+    from mixvae.train import run_train
+
+    _, preset, overrides = FLOAT32
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            cfg = apply_overrides(load_preset(preset), overrides + [f"out_dir={out}"])
+        except ConfigError:
+            return None
+        run_train(cfg)
+        h = hashlib.sha256()
+        for name in ["metrics.csv", "checkpoint.ckpt", "per_class.csv"] + sorted(
+                n for n in os.listdir(out) if n.startswith("snapshot-")):
+            with open(os.path.join(out, name), "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()[:16]
+
+
 def compare(parent_src: str, change_src: str) -> int:
     """Print the digest lines that differ between two `src/` directories."""
     parent, change = (
@@ -146,6 +174,8 @@ def main(argv: list[str]) -> int:
             for name, value in read_side(tag, preset, overrides, out).items():
                 print(f"{tag} {preset} {name} {value}")
     print(f"clamp tiny-net elbo+generate {clamp_digest()}")
+    if value := float32_digest():
+        print(f"{FLOAT32[0]} {FLOAT32[1]} float32-run {value}")
     return 0
 
 
