@@ -150,6 +150,9 @@ def load_matrix_dataset(path, split: str = "train") -> Dataset:
     if blob[:6] != MATRIX_MAGIC:
         raise DataFormatError(f"magic: {path} is not a matrix dataset file")
     header = struct.Struct("<QQQIIB")
+    if len(blob) < 6 + header.size:
+        raise DataFormatError(f"header: {path} has {len(blob)} bytes, shorter than "
+                              f"its {6 + header.size}-byte header")
     n, d, c, rows, cols, dtype = header.unpack_from(blob, 6)
     if dtype != 0:
         raise DataFormatError(f"dtype: unsupported code {dtype}")

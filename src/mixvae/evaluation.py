@@ -30,8 +30,11 @@ from .rng import STREAM_EVAL, RngState, substream
 
 KNN_KS = (3, 5, 10)
 _ENCODE_CHUNK = 2048
-# Test x train squared-distance entries per k-NN block (8 MB of float64).
-_KNN_BLOCK = 2 ** 20
+# Test x train squared-distance entries per k-NN block (1 MB of float64),
+# and the fewest test rows per block: each block repacks the train
+# latents for its GEMM, so very short blocks pay that again and again.
+_KNN_BLOCK = 2 ** 17
+_KNN_MIN_ROWS = 32
 
 
 @dataclass
@@ -143,10 +146,12 @@ def knn_errors(train_latents: np.ndarray, train_labels: np.ndarray,
 
     Majority vote among the k nearest; exact distance ties resolve in
     train-index order (stable sort), vote ties to the smallest class.
-    Squared distances are formed a block of test rows at a time (about
-    _KNN_BLOCK entries each), and each row's k nearest come from a
-    partial sort (_k_nearest) that returns what a full stable sort of
-    the row would. A non-finite distance raises NumericError.
+    Squared distances are formed a block of test rows at a time
+    (max(_KNN_MIN_ROWS, _KNN_BLOCK // n_train) rows, so at the presets'
+    sizes a block's distances and partial-sort temporaries take a few
+    MB), and each row's k nearest come from a partial sort
+    (_k_nearest) that returns what a full stable sort of the row would.
+    A non-finite distance raises NumericError.
     """
     train_latents = np.asarray(train_latents, dtype=np.float64)
     test_latents = np.asarray(test_latents, dtype=np.float64)
@@ -162,7 +167,7 @@ def knn_errors(train_latents: np.ndarray, train_labels: np.ndarray,
     k_top = max(ks)
     train_sq = np.sum(train_latents ** 2, axis=1)
     correct = {k: 0 for k in ks}
-    chunk = max(1, _KNN_BLOCK // n_train)
+    chunk = max(_KNN_MIN_ROWS, _KNN_BLOCK // n_train)
     class_ids = np.arange(n_classes)
     for lo in range(0, test_latents.shape[0], chunk):
         hi = min(lo + chunk, test_latents.shape[0])

@@ -5,6 +5,7 @@ import mixvae.train as train_mod
 from mixvae.checkpoint import load_checkpoint, save_checkpoint
 from mixvae.cli import main
 from mixvae.config import apply_overrides, load_preset
+from mixvae.data import MATRIX_MAGIC
 from mixvae.evaluation import (
     incremental_class_accuracy,
     incremental_task_accuracy,
@@ -250,3 +251,13 @@ def test_export_samples_from_malformed_usage_counts_is_one_error_line(tmp_path, 
                  str(tmp_path / "s.pgm")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: usage counts") and err.count("\n") == 1
+
+
+def test_train_on_a_truncated_matrix_header_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "train.mvds").write_bytes(MATRIX_MAGIC + b"\x05\x00\x00")
+    run = tmp_path / "run"
+    assert main(["train", "--preset", "toy-blobs-mgr-dyn", "--out", str(run),
+                 "--set", "data.source=matrix", "--set", f"data.dir={tmp_path}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: header: ") and err.count("\n") == 1
+    assert not run.exists()

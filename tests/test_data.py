@@ -132,6 +132,15 @@ class TestMatrixFormat:
         with pytest.raises(DataFormatError, match="payload"):
             load_matrix_dataset(path)
 
+    @pytest.mark.parametrize("cut", [6, 20])  # right after the magic; mid-header
+    def test_truncated_header(self, tmp_path, cut):
+        ds = Dataset(np.zeros((4, 3)), np.zeros(4, dtype=np.int64), n_classes=1)
+        path = tmp_path / "h.mvds"
+        save_matrix_dataset(path, ds)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(DataFormatError, match=f"header: .* has {cut} bytes, shorter than its 39-byte header"):
+            load_matrix_dataset(path)
+
 
 class TestSplit:
     def make(self, n=100):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,13 +159,34 @@ class TestKnn:
         train, train_labels, test, test_labels, k_top = case
         ks = tuple(sorted({1, k_top, max(1, k_top // 2)}))
         expected = sorted_knn_errors(train, train_labels, test, test_labels, ks)
-        saved = evaluation._KNN_BLOCK
-        evaluation._KNN_BLOCK = block  # a block of max(1, block // n_train) test rows
+        saved = evaluation._KNN_BLOCK, evaluation._KNN_MIN_ROWS
+        # blocks of max(1, block // n_train) test rows: the test sets hold at
+        # most 30 rows, so the production floor of 32 rows would make one block
+        evaluation._KNN_BLOCK, evaluation._KNN_MIN_ROWS = block, 1
         try:
             got = knn_errors(train, train_labels, test, test_labels, ks)
         finally:
-            evaluation._KNN_BLOCK = saved
+            evaluation._KNN_BLOCK, evaluation._KNN_MIN_ROWS = saved
         assert got == expected
+
+    @pytest.mark.parametrize("n_test, n_train, bound_mb", [
+        # 32 x 4,000 entries (2**17 // 4,000 rows) of float64 distances, int64
+        # argpartition indices and two bool masks: 2.3 MB per block
+        (1600, 4000, 4.0),
+        # the 32-row floor binds: 32 x 10,000 entries, 5.8 MB per block
+        (1000, 10000, 8.0),
+    ])
+    def test_knn_errors_peak_memory_is_one_block(self, n_test, n_train, bound_mb):
+        rng = RngState(3, (n_train,))
+        train, test = rng.normal((n_train, 4)), rng.normal((n_test, 4))
+        train_labels, test_labels = rng.integers(4, size=n_train), rng.integers(4, size=n_test)
+        tracemalloc.start()
+        try:
+            knn_errors(train, train_labels, test, test_labels, (3, 5, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2 ** 20
 
     def test_boundary_tie_goes_to_lowest_index(self):
         # distances 4, 1, 1, 1, 0: k=3 takes index 4, then the tied 1 and 2

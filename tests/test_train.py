@@ -310,6 +310,57 @@ class TestClassSubset:
         assert knn_labels[-1] == (stream, stream)
 
 
+def write_digit_like(path, seed, n_per_class, n_classes=4):
+    """784-d matrix data: each class lights its own seeded 150 of the 784
+    pixels, with Gaussian noise, quantised to 1/255 like 8-bit scans."""
+    protos = np.full((n_classes, 784), 0.02)
+    pick = np.random.default_rng(99)
+    for c in range(n_classes):
+        protos[c, pick.choice(784, 150, replace=False)] = 0.9
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(n_classes), n_per_class)
+    x = protos[labels] + 0.05 * rng.standard_normal((labels.size, 784))
+    save_matrix_dataset(path, Dataset(np.round(np.clip(x, 0, 1) * 255) / 255, labels,
+                                      n_classes=n_classes, image_hw=(28, 28)))
+
+
+class TestMnist3Preset:
+    def test_subset_preset_runs_on_784d_matrix_data(self, tmp_path, monkeypatch):
+        # structure only: no accuracy threshold is calibrated on synthetic data
+        write_digit_like(tmp_path / "train.mvds", 0, 200)
+        write_digit_like(tmp_path / "test.mvds", 1, 50)
+        knn_sizes = []
+        real_knn = evaluation.knn_errors
+
+        def recording_knn(train_z, train_labels, test_z, test_labels, ks):
+            knn_sizes.append((len(train_labels), len(test_labels), set(test_labels.tolist())))
+            return real_knn(train_z, train_labels, test_z, test_labels, ks)
+        monkeypatch.setattr(evaluation, "knn_errors", recording_knn)
+        outputs = []
+        for tag in ("a", "b"):
+            cfg = apply_overrides(load_preset("mnist3-seq-mgr-fixedT"), [
+                "data.source=matrix", f"data.dir={tmp_path}", "data.n_valid=0",
+                "stream.total_steps=300", "replay.snapshot_period=100", "eval.cadence=100",
+                "expansion.finetune_iters=25", "eval.knn_train_subsample=300",
+                "eval.knn_test_subsample=100", f"out_dir={tmp_path}/{tag}"])
+            result = run_train(cfg)
+            assert result.params.arch.input_dim == 784
+            assert result.snapshot_steps == [99, 199, 299]
+            assert len(result.expansion_log) >= 1
+            rows = [r.split(",") for r in open(result.metrics_path).read().splitlines()[1:]]
+            assert len(rows) == 3
+            assert all(np.isfinite(float(v)) for row in rows for v in row[1:9])
+            per_class = open(os.path.join(cfg.out_dir, "per_class.csv")).read().splitlines()[1:]
+            assert [int(r.split(",")[1]) for r in per_class] == [0, 1, 2] * 3
+            assert all(np.isfinite(float(r.split(",")[2])) for r in per_class)
+            outputs.append({n: open(os.path.join(cfg.out_dir, n), "rb").read()
+                            for n in sorted(os.listdir(cfg.out_dir)) if n != "config.txt"})
+        # the k-NN test side is the seeded 100-point subsample of classes 0-2
+        assert knn_sizes == [(300, 100, {0, 1, 2})] * 6
+        assert outputs[0] == outputs[1]
+        assert "snapshot-0000099.ckpt" in outputs[0]
+
+
 class TestRunEval:
     def test_eval_matches_before_and_after_save(self, tmp_path):
         cfg = toy_cfg(tmp_path)

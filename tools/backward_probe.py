@@ -1,5 +1,5 @@
-"""Wall time of one `backward` call on the full-scale MNIST architecture
-and on two small nets.
+"""Wall time of one `backward` call, and of one Adam step, on the
+full-scale MNIST architecture, and of one `backward` call on two small nets.
 
 Usage: python3 tools/backward_probe.py SRC_DIR
 
@@ -12,7 +12,10 @@ drawn uniformly over the K components), in each compute dtype
 presets train). Inputs are seeded uniform values in [0, 1]. Each cell
 is the median wall time of 5 timed calls after one untimed call, then
 the minor page faults and the system CPU time per timed call
-(`resource.getrusage` over the 5 calls).
+(`resource.getrusage` over the 5 calls). The table also times
+`adam.adam_step` the same way, on the gradient of that cell's marginal
+`backward` (a fresh `AdamState`, whose untimed first call makes the
+moments), and sums the two medians into the marginal step's ms.
 
 A second table times the calls whose cost is per-call overhead rather
 than arithmetic, in microseconds: the toy net of the blob presets
@@ -30,6 +33,7 @@ import os
 import resource
 import sys
 import time
+from functools import partial
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -52,15 +56,16 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, os.path.abspath(argv[0]))
     import numpy as np
+    from mixvae.adam import AdamState, adam_step
     from mixvae.model import Architecture, backward, draw_eps, init_params
     from mixvae.rng import RngState
 
     arch = Architecture(input_dim=784, encoder=(1200, 600, 300, 150), n_z=32,
                         decoder=(500, 500), k_max=max(KS))
-    print(f"backward ms (median of {REPEATS}), minor faults and system ms per call; "
+    print(f"backward and adam_step ms (median of {REPEATS}), minor faults and system ms per call; "
           f"batch {BATCH}, one BLAS thread")
-    print("| K | dtype | marginal loss | constrained loss |")
-    print("|---|---|---|---|")
+    print("| K | dtype | marginal loss | constrained loss | adam_step | marginal step |")
+    print("|---|---|---|---|---|---|")
     for k, dtype in itertools.product(KS, DTYPES):
         rng = RngState(0, (k,))
         params = init_params(arch, rng, k_init=k)
@@ -68,21 +73,24 @@ def main(argv: list[str]) -> int:
         x = rng.uniform(0.0, 1.0, (BATCH, arch.input_dim))
         eps = draw_eps(params, BATCH, rng)
         y = rng.integers(k, size=BATCH)
-        cells = []
-        for y_obs in (None, y):
-            backward(x, params, None, y_obs=y_obs, eps=eps)
+        grads = backward(x, params, None, eps=eps)[1]
+        calls = [partial(backward, x, params, None, y_obs=y_obs, eps=eps) for y_obs in (None, y)]
+        calls.append(partial(adam_step, params, grads, AdamState()))
+        cells, medians = [], []
+        for call in calls:
+            call()
             times = []
             r0 = resource.getrusage(resource.RUSAGE_SELF)
             for _ in range(REPEATS):
                 t0 = time.perf_counter()
-                backward(x, params, None, y_obs=y_obs, eps=eps)
+                call()
                 times.append(time.perf_counter() - t0)
             r1 = resource.getrusage(resource.RUSAGE_SELF)
             faults = (r1.ru_minflt - r0.ru_minflt) / REPEATS
             sys_ms = 1e3 * (r1.ru_stime - r0.ru_stime) / REPEATS
-            cells.append(f"{1e3 * float(np.median(times)):.0f} ms, {faults:.0f} faults, "
-                         f"{sys_ms:.1f} sys ms")
-        print(f"| {k} | {dtype} | {cells[0]} | {cells[1]} |")
+            medians.append(1e3 * float(np.median(times)))
+            cells.append(f"{medians[-1]:.0f} ms, {faults:.0f} faults, {sys_ms:.1f} sys ms")
+        print(f"| {k} | {dtype} | {' | '.join(cells)} | {medians[0] + medians[2]:.0f} ms |")
 
     print(f"\nbackward us (median over {ROUNDS} rounds of {CALLS} calls), one BLAS thread")
     print("| net | batch | K | marginal loss | constrained loss |")
