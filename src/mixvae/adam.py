@@ -8,34 +8,41 @@ Standard published Adam recurrence with bias correction:
 
 Parameters, gradients and both moments are `FlatBuffers` of one layout
 (`model.param_spec` order), so a step is one pass over four contiguous
-vectors. The pass runs in chunks of CHUNK elements through two scratch
-blocks the state keeps, so it allocates nothing and a chunk's operands
-stay in cache between its operations. On purpose, each chunk repeats
-the per-element operations of the whole-array expressions
+vectors. That pass is a C loop (`adam_kernel.c`) that runs, per element
+and in order, the operations of the whole-array expressions
 `m += (1-b1)*g`, `v += (1-b2)*(g*g)` and
-`p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)` in their order, so the update is
-bitwise what those expressions give and trained outputs do not move.
-A float32 gradient (`arch.compute_dtype = float32`) is widened a chunk at
-a time into a third scratch block first, which is exact, so the moments
-and their arithmetic stay float64.
+`p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`, so the update is bitwise what
+those expressions give and trained outputs do not move. A float32
+gradient (`arch.compute_dtype = float32`) is widened element by element,
+which is exact, so the moments and their arithmetic stay float64.
+The loop is compiled on a process's first `adam_step` with the C compiler
+Python was built with, cached in the package's `__pycache__` under a hash
+of its source, flags and compiler version, and called through `ctypes`.
 Dynamic expansion grows the moments with the parameters
 (`model.add_component_rows`), with zero rows for the new component.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from .errors import ShapeError
+from .errors import KernelBuildError, ShapeError
 from .model import FlatBuffers
 
 DEFAULT_LR = 1e-3
 DEFAULT_BETA1 = 0.9
 DEFAULT_BETA2 = 0.999
 DEFAULT_EPS = 1e-8
-# Elements per chunk of the update pass: 256 KB per operand. Chunks of
-# 4,096 to 65,536 elements ran equally fast on the full-scale net.
-CHUNK = 32768
+_SOURCE = os.path.join(os.path.dirname(__file__), "adam_kernel.c")
+_CACHE_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
+# No -ffast-math, -Ofast or -march=native: they change results, and a
+# fast-math object sets flush-to-zero for the whole process when it loads.
+# -ffp-contract=off keeps every multiply and add separately rounded;
+# -fno-math-errno lets the sqrt vectorise and changes no result.
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+_kernels = None  # {gradient dtype: C entry point}, made by the first adam_step
 
 
 class AdamState:
@@ -54,7 +61,6 @@ class AdamState:
         self.t = 0
         self.m = FlatBuffers({})
         self.v = FlatBuffers({})
-        self._scratch = np.empty((3, 0))  # three blocks of min(CHUNK, n), made by adam_step
 
 
 def hyperparameter_problem(lr: float, beta1: float, beta2: float, eps: float) -> str | None:
@@ -82,12 +88,66 @@ def zero_moments(params: FlatBuffers) -> tuple[FlatBuffers, FlatBuffers]:
     return tuple(FlatBuffers(params.shapes, row, params.spans) for row in block)
 
 
+def _compiler_command() -> list[str]:
+    """The C compiler Python was built with, as an argument list."""
+    import shlex
+    import sysconfig
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _load_kernels() -> dict:
+    """The update loop's entry points by gradient dtype, from the cached
+    object, which is compiled first when the cache has none for this
+    source, these flags and this compiler version."""
+    import ctypes
+    import hashlib
+    import shlex
+    import subprocess
+
+    def run(args):
+        command = _compiler_command() + args
+        try:
+            done = subprocess.run(command, capture_output=True, text=True)
+        except OSError as err:
+            raise KernelBuildError(f"cannot run the C compiler {shlex.join(command)}: "
+                                   f"{err}") from None
+        if done.returncode:
+            raise KernelBuildError(f"C compiler failed ({done.returncode}): "
+                                   f"{shlex.join(command)}\n{done.stderr}")
+        return done.stdout
+
+    with open(_SOURCE, "rb") as f:
+        key = hashlib.sha256(f.read())
+    key.update(" ".join(_FLAGS).encode() + b"\0" + run(["--version"]).encode())
+    path = os.path.join(_CACHE_DIR, f"adam_kernel-{key.hexdigest()[:16]}.so")
+    if not os.path.exists(path):
+        os.makedirs(_CACHE_DIR, exist_ok=True)
+        tmp = f"{path}.{os.getpid()}.tmp"  # a process writes only its own temporary
+        try:
+            run([*_FLAGS, "-o", tmp, _SOURCE])
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(path)
+    kernels = {np.dtype(np.float64): lib.adam_step_f64, np.dtype(np.float32): lib.adam_step_f32}
+    for fn in kernels.values():
+        fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 8
+        fn.restype = None
+    return kernels
+
+
 def adam_step(params: FlatBuffers, grads: FlatBuffers, state: AdamState) -> None:
     """One Adam update of every parameter, in place.
 
     t increments by exactly 1 per call. Raises ShapeError if the gradient
-    or moment vector's length differs from the parameter vector's.
+    or moment vector's length differs from the parameter vector's, if the
+    parameter or a moment vector is not a writable float64 vector, or if
+    the gradient is neither float64 nor float32: the C loop trusts all of
+    these. The first call of a process raises KernelBuildError when the
+    loop cannot be compiled.
     """
+    global _kernels
     p, g = params.vector, grads.vector
     if g.size != p.size:
         raise ShapeError(f"{g.size} gradients for {p.size} parameters")
@@ -96,31 +156,16 @@ def adam_step(params: FlatBuffers, grads: FlatBuffers, state: AdamState) -> None
     m, v = state.m.vector, state.v.vector
     if not m.size == v.size == p.size:
         raise ShapeError(f"Adam moments of {m.size} and {v.size} values for {p.size} parameters")
-    if state._scratch.shape[1] < min(CHUNK, p.size):
-        state._scratch = np.empty((3, min(CHUNK, p.size)))
+    for name, a in (("parameter", p), ("first moment", m), ("second moment", v)):
+        if a.dtype != np.float64 or not (a.flags.c_contiguous and a.flags.writeable):
+            raise ShapeError(f"Adam needs a writable contiguous float64 {name} vector, "
+                             f"got {a.dtype}")
+    if g.dtype not in (np.float64, np.float32) or not g.flags.c_contiguous:
+        raise ShapeError(f"Adam needs a contiguous float64 or float32 gradient, got {g.dtype}")
+    if _kernels is None:
+        _kernels = _load_kernels()
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    c1, c2 = 1.0 - b1, 1.0 - b2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    for lo in range(0, p.size, CHUNK):
-        hi = min(lo + CHUNK, p.size)
-        pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-        t, u, wide = state._scratch[:, :hi - lo]
-        if gc.dtype != pc.dtype:
-            np.copyto(wide, gc)
-            gc = wide
-        mc *= b1
-        np.multiply(gc, c1, out=t)
-        mc += t
-        vc *= b2
-        np.multiply(gc, gc, out=t)
-        t *= c2
-        vc += t
-        np.divide(mc, bc1, out=t)
-        t *= lr
-        np.divide(vc, bc2, out=u)
-        np.sqrt(u, out=u)
-        u += eps
-        t /= u
-        pc -= t
+    b1, b2 = state.beta1, state.beta2
+    _kernels[g.dtype](p.ctypes.data, g.ctypes.data, m.ctypes.data, v.ctypes.data, p.size,
+                      b1, b2, 1.0 - b1, 1.0 - b2, 1.0 - b1 ** state.t, 1.0 - b2 ** state.t,
+                      state.lr, state.eps)

@@ -31,3 +31,7 @@ class CheckpointError(MixvaeError):
 
 class StreamExhausted(MixvaeError):
     """The stream step index is at or past total_steps."""
+
+
+class KernelBuildError(MixvaeError):
+    """A compiled kernel could not be built. Names the command and its stderr."""

@@ -106,7 +106,10 @@ def encode_eval_latents(dataset: Dataset, params: ModelParams, rng: RngState,
         h = encode_shared(x[lo:hi], params)
         yhat = np.argmax(infer_task_posterior(h, params), axis=1)
         mu, sig = np.empty((hi - lo, nz)), np.empty((hi - lo, nz))
-        for k in np.unique(yhat):
+        # Not np.unique: NumPy 2 imports numpy.ma on its first call, and that
+        # module's objects, made mid-run, can sit at the top of glibc's heap
+        # and keep tens of MB freed below them resident.
+        for k in np.flatnonzero(np.bincount(yhat)):
             rows = yhat == k
             mu[rows], sig[rows] = component_posterior_params(h[rows], int(k), params)
         if mode == "sampled":

@@ -1,8 +1,15 @@
+import os
+import shlex
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from mixvae.adam import CHUNK, AdamState, adam_step
-from mixvae.errors import ShapeError
+import mixvae
+from mixvae import adam
+from mixvae.adam import AdamState, adam_step
+from mixvae.errors import KernelBuildError, MixvaeError, ShapeError
 from mixvae.model import FlatBuffers
 
 
@@ -28,7 +35,7 @@ def scalar_adam_reference(g_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8, x0=0.0):
 
 
 def whole_array_reference(p, m, v, g, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
-    """One Adam update as unchunked whole-array expressions, in place."""
+    """One Adam update as whole-array NumPy expressions, in place: the oracle of the C loop."""
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
@@ -106,18 +113,128 @@ def test_accumulator_shapes_track_params():
     assert state.m.shapes == state.v.shapes == params.shapes
 
 
-@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
-def test_chunked_pass_matches_whole_array_reference(n):
-    # chunk edges must not change a bit of p, m or v
+def bits(a):
+    return a.view(np.uint64)
+
+
+# 17 and 4099 are odd, so a vector body of 2, 4 or 8 doubles leaves a
+# scalar tail after it; 1 to 5 are shorter than, or just past, one vector.
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 4099])
+def test_kernel_matches_whole_array_reference(n, dtype):
+    # every bit of p, m and v, with signed zeros, subnormals and a gradient
+    # whose square overflows (float64) or is near float32's largest
+    info = np.finfo(dtype)
+    big = 1e200 if dtype == np.float64 else float(info.max)
+    specials = np.array([0.0, -0.0, info.smallest_subnormal, -1e-310 if dtype == np.float64
+                         else -1e-40, big, -big], dtype=dtype)
     rng = np.random.default_rng(n)
     p0 = rng.standard_normal(n)
     params = flat(w=p0)
     state = AdamState()
     p, m, v = p0.copy(), np.zeros(n), np.zeros(n)
     for t in range(1, 4):
-        g = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)
-        adam_step(params, flat(w=g), state)
-        whole_array_reference(p, m, v, g, t)
-        assert np.array_equal(params.vector, p)
-        assert np.array_equal(state.m.vector, m)
-        assert np.array_equal(state.v.vector, v)
+        g = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)).astype(dtype)
+        pick = rng.random(n) < 0.3
+        g[pick] = rng.choice(specials, pick.sum())
+        g[-1] = specials[2 * t % specials.size]  # the last element is in the tail
+        adam_step(params, FlatBuffers({"w": (n,)}, g), state)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            whole_array_reference(p, m, v, g.astype(np.float64), t)
+        assert np.array_equal(bits(params.vector), bits(p))
+        assert np.array_equal(bits(state.m.vector), bits(m))
+        assert np.array_equal(bits(state.v.vector), bits(v))
+
+
+class RecordingKernels(dict):
+    """Stands in for the compiled entry points and records every call."""
+
+    def __init__(self):
+        super().__init__((np.dtype(d), self.call) for d in (np.float64, np.float32))
+        self.calls = 0
+
+    def call(self, *args):
+        self.calls += 1
+
+
+@pytest.mark.parametrize("case", ["float32 params", "float32 moment", "float16 gradient"])
+def test_wrong_dtype_rejected_before_the_foreign_call(case, monkeypatch):
+    kernels = RecordingKernels()
+    monkeypatch.setattr(adam, "_kernels", kernels)
+    params, grads, state = flat(w=np.zeros(3)), flat(w=np.ones(3)), AdamState()
+    adam_step(params, grads, state)
+    assert kernels.calls == 1
+    if case == "float32 params":
+        params = FlatBuffers(params.shapes, np.zeros(3, np.float32))
+    elif case == "float32 moment":
+        state.v = FlatBuffers(params.shapes, np.zeros(3, np.float32))
+    else:
+        grads.vector = np.zeros(3, np.float16)
+    with pytest.raises(ShapeError):
+        adam_step(params, grads, state)
+    assert kernels.calls == 1 and state.t == 1
+
+
+def test_read_only_parameters_rejected(monkeypatch):
+    monkeypatch.setattr(adam, "_kernels", RecordingKernels())
+    params = flat(w=np.zeros(3))
+    params.vector.flags.writeable = False
+    with pytest.raises(ShapeError):
+        adam_step(params, flat(w=np.ones(3)), AdamState())
+    assert adam._kernels.calls == 0
+
+
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch):
+    """A fresh cache directory and no loaded kernel, so the next step builds."""
+    monkeypatch.setattr(adam, "_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(adam, "_kernels", None)
+    return tmp_path / "cache"
+
+
+def test_missing_compiler_raises_naming_the_command(empty_cache, monkeypatch):
+    monkeypatch.setattr(adam, "_compiler_command", lambda: ["mixvae-no-such-cc"])
+    with pytest.raises(KernelBuildError, match="mixvae-no-such-cc") as err:
+        adam_step(flat(w=np.zeros(2)), flat(w=np.ones(2)), AdamState())
+    assert isinstance(err.value, MixvaeError)
+    assert adam._kernels is None
+
+
+def test_failing_compiler_raises_with_its_stderr(empty_cache, monkeypatch):
+    command = [sys.executable, "-c", "import sys; sys.stderr.write('no such flag'); sys.exit(3)"]
+    monkeypatch.setattr(adam, "_compiler_command", lambda: command)
+    with pytest.raises(KernelBuildError, match="no such flag") as err:
+        adam_step(flat(w=np.zeros(2)), flat(w=np.ones(2)), AdamState())
+    assert shlex.join(command) in str(err.value)
+
+
+def test_a_fresh_process_on_a_filled_cache_builds_nothing(empty_cache, tmp_path):
+    adam_step(flat(w=np.zeros(2)), flat(w=np.ones(2)), AdamState())
+    cached = sorted(os.listdir(empty_cache))
+    assert len(cached) == 1 and cached[0].endswith(".so")
+    # this compiler answers --version, which keys the cache, and fails any build
+    fake = tmp_path / "cc-that-cannot-build"
+    real = shlex.join(adam._compiler_command())
+    fake.write_text(f'#!/bin/sh\nif [ "$1" = --version ]; then exec {real} "$@"; fi\n'
+                    "echo 'a build was attempted' >&2\nexit 1\n")
+    fake.chmod(0o755)
+    src = os.path.dirname(os.path.dirname(mixvae.__file__))
+    child = f"""
+import sys
+sys.path.insert(0, {src!r})
+from mixvae import adam
+from mixvae.config import apply_overrides, load_preset
+from mixvae.train import run_train
+adam._CACHE_DIR = {str(empty_cache)!r}
+adam._compiler_command = lambda: [{str(fake)!r}]
+cfg = apply_overrides(load_preset("toy-blobs-mgr-dyn"), [
+    "stream.total_steps=40", "eval.cadence=40", "data.blob_train_per_class=50",
+    "data.blob_test_per_class=20", "eval.knn_train_subsample=100", "out_dir={tmp_path}/run"])
+print(run_train(cfg).adam.t)
+"""
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) >= 40
+    assert sorted(os.listdir(empty_cache)) == cached
+
+

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_inputs, tiny_params
 from mixvae import model
-from mixvae.adam import CHUNK, AdamState, adam_step
+from mixvae.adam import AdamState, adam_step
 from mixvae.checkpoint import load_checkpoint
 from mixvae.config import apply_overrides, load_preset
 from mixvae.data import Dataset, save_matrix_dataset
@@ -145,7 +145,7 @@ def test_full_scale_preset_trains_in_float32_end_to_end(tmp_path):
 def test_adam_widens_a_float32_gradient_exactly():
     # a float32 gradient updates p, m and v to the bits of its float64 widening
     rng = np.random.default_rng(7)
-    n = 2 * CHUNK + 3
+    n = 65539
     g32 = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)).astype(np.float32)
     p0 = rng.standard_normal(n)
     finals = []

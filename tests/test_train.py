@@ -324,41 +324,73 @@ def write_digit_like(path, seed, n_per_class, n_classes=4):
                                       n_classes=n_classes, image_hw=(28, 28)))
 
 
-class TestMnist3Preset:
-    def test_subset_preset_runs_on_784d_matrix_data(self, tmp_path, monkeypatch):
-        # structure only: no accuracy threshold is calibrated on synthetic data
-        write_digit_like(tmp_path / "train.mvds", 0, 200)
-        write_digit_like(tmp_path / "test.mvds", 1, 50)
-        knn_sizes = []
-        real_knn = evaluation.knn_errors
+@pytest.fixture(scope="module")
+def digit_dir(tmp_path_factory):
+    """train.mvds and test.mvds of 784-d digit-like data, written once per module."""
+    path = tmp_path_factory.mktemp("digits")
+    write_digit_like(path / "train.mvds", 0, 200)
+    write_digit_like(path / "test.mvds", 1, 50)
+    return path
 
-        def recording_knn(train_z, train_labels, test_z, test_labels, ks):
-            knn_sizes.append((len(train_labels), len(test_labels), set(test_labels.tolist())))
-            return real_knn(train_z, train_labels, test_z, test_labels, ks)
-        monkeypatch.setattr(evaluation, "knn_errors", recording_knn)
+
+def mnist3_cfg(preset, data_dir, out_dir, *overrides):
+    """A `mnist3-*` preset cut to 300 steps on matrix data, with 300/100-point k-NN subsamples."""
+    return apply_overrides(load_preset(preset), [
+        "data.source=matrix", f"data.dir={data_dir}", "data.n_valid=0",
+        "stream.total_steps=300", "eval.cadence=100", "expansion.finetune_iters=25",
+        "eval.knn_train_subsample=300", "eval.knn_test_subsample=100", f"out_dir={out_dir}",
+        *overrides])
+
+
+@pytest.fixture
+def knn_sizes(monkeypatch):
+    """(train size, test size, test classes) of every k-NN call."""
+    sizes = []
+    real_knn = evaluation.knn_errors
+
+    def recording_knn(train_z, train_labels, test_z, test_labels, ks):
+        sizes.append((len(train_labels), len(test_labels), set(test_labels.tolist())))
+        return real_knn(train_z, train_labels, test_z, test_labels, ks)
+    monkeypatch.setattr(evaluation, "knn_errors", recording_knn)
+    return sizes
+
+
+def check_subset_run(cfg, result):
+    """Three finite metrics rows and per-class rows for exactly classes 0-2."""
+    assert result.params.arch.input_dim == 784
+    rows = [r.split(",") for r in open(result.metrics_path).read().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(np.isfinite(float(v)) for row in rows for v in row[1:9])
+    per_class = open(os.path.join(cfg.out_dir, "per_class.csv")).read().splitlines()[1:]
+    assert [int(r.split(",")[1]) for r in per_class] == [0, 1, 2] * 3
+    assert all(np.isfinite(float(r.split(",")[2])) for r in per_class)
+
+
+class TestMnist3Preset:
+    # structure only: no accuracy threshold is calibrated on synthetic data
+    def test_subset_preset_runs_on_784d_matrix_data(self, tmp_path, digit_dir, knn_sizes):
         outputs = []
         for tag in ("a", "b"):
-            cfg = apply_overrides(load_preset("mnist3-seq-mgr-fixedT"), [
-                "data.source=matrix", f"data.dir={tmp_path}", "data.n_valid=0",
-                "stream.total_steps=300", "replay.snapshot_period=100", "eval.cadence=100",
-                "expansion.finetune_iters=25", "eval.knn_train_subsample=300",
-                "eval.knn_test_subsample=100", f"out_dir={tmp_path}/{tag}"])
+            cfg = mnist3_cfg("mnist3-seq-mgr-fixedT", digit_dir, tmp_path / tag,
+                             "replay.snapshot_period=100")
             result = run_train(cfg)
-            assert result.params.arch.input_dim == 784
+            check_subset_run(cfg, result)
             assert result.snapshot_steps == [99, 199, 299]
             assert len(result.expansion_log) >= 1
-            rows = [r.split(",") for r in open(result.metrics_path).read().splitlines()[1:]]
-            assert len(rows) == 3
-            assert all(np.isfinite(float(v)) for row in rows for v in row[1:9])
-            per_class = open(os.path.join(cfg.out_dir, "per_class.csv")).read().splitlines()[1:]
-            assert [int(r.split(",")[1]) for r in per_class] == [0, 1, 2] * 3
-            assert all(np.isfinite(float(r.split(",")[2])) for r in per_class)
             outputs.append({n: open(os.path.join(cfg.out_dir, n), "rb").read()
                             for n in sorted(os.listdir(cfg.out_dir)) if n != "config.txt"})
         # the k-NN test side is the seeded 100-point subsample of classes 0-2
         assert knn_sizes == [(300, 100, {0, 1, 2})] * 6
         assert outputs[0] == outputs[1]
         assert "snapshot-0000099.ckpt" in outputs[0]
+
+    def test_replay_off_preset_runs_on_784d_matrix_data(self, tmp_path, digit_dir, knn_sizes):
+        cfg = mnist3_cfg("mnist3-seq-nomgr", digit_dir, tmp_path / "run")
+        result = run_train(cfg)
+        check_subset_run(cfg, result)
+        assert result.snapshot_steps == []
+        assert not [n for n in os.listdir(cfg.out_dir) if n.startswith("snapshot")]
+        assert knn_sizes == [(300, 100, {0, 1, 2})] * 3
 
 
 class TestRunEval:

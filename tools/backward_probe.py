@@ -15,7 +15,10 @@ the minor page faults and the system CPU time per timed call
 (`resource.getrusage` over the 5 calls). The table also times
 `adam.adam_step` the same way, on the gradient of that cell's marginal
 `backward` (a fresh `AdamState`, whose untimed first call makes the
-moments), and sums the two medians into the marginal step's ms.
+moments), and sums the two medians into the marginal step's ms. Before
+the table it prints the one-off cost of the process's first `adam_step`
+(on one parameter), which builds the compiled update or loads it from
+the checkout's cache.
 
 A second table times the calls whose cost is per-call overhead rather
 than arithmetic, in microseconds: the toy net of the blob presets
@@ -57,9 +60,13 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.abspath(argv[0]))
     import numpy as np
     from mixvae.adam import AdamState, adam_step
-    from mixvae.model import Architecture, backward, draw_eps, init_params
+    from mixvae.model import Architecture, FlatBuffers, backward, draw_eps, init_params
     from mixvae.rng import RngState
 
+    t0 = time.perf_counter()
+    adam_step(FlatBuffers({"w": (1,)}), FlatBuffers({"w": (1,)}), AdamState())
+    print(f"first adam_step of the process (kernel build or load): "
+          f"{1e3 * (time.perf_counter() - t0):.1f} ms\n")
     arch = Architecture(input_dim=784, encoder=(1200, 600, 300, 150), n_z=32,
                         decoder=(500, 500), k_max=max(KS))
     print(f"backward and adam_step ms (median of {REPEATS}), minor faults and system ms per call; "
