@@ -15,6 +15,10 @@ and in order, the operations of the whole-array expressions
 those expressions give and trained outputs do not move. A float32
 gradient (`arch.compute_dtype = float32`) is widened element by element,
 which is exact, so the moments and their arithmetic stay float64.
+Under float32 the same pass also writes the float32 shadow of the
+parameters that `backward` and `elbo` read (`model.StepBuffers`): each
+new parameter, rounded to float32, is stored as soon as it is computed,
+so a float32 training step passes over the parameter vector once.
 The loop is compiled on a process's first `adam_step` with the C compiler
 Python was built with, cached in the package's `__pycache__` under a hash
 of its source, flags and compiler version, and called through `ctypes`.
@@ -29,7 +33,7 @@ import os
 import numpy as np
 
 from .errors import KernelBuildError, ShapeError
-from .model import FlatBuffers
+from .model import FlatBuffers, ModelParams
 
 DEFAULT_LR = 1e-3
 DEFAULT_BETA1 = 0.9
@@ -132,13 +136,16 @@ def _load_kernels() -> dict:
     lib = ctypes.CDLL(path)
     kernels = {np.dtype(np.float64): lib.adam_step_f64, np.dtype(np.float32): lib.adam_step_f32}
     for fn in kernels.values():
-        fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 8
+        fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_ssize_t] + [ctypes.c_double] * 8
         fn.restype = None
     return kernels
 
 
 def adam_step(params: FlatBuffers, grads: FlatBuffers, state: AdamState) -> None:
     """One Adam update of every parameter, in place.
+
+    The float32 shadow of a `ModelParams` is rewritten in the same pass
+    when `StepBuffers.adam_shadow` hands it over.
 
     t increments by exactly 1 per call. Raises ShapeError if the gradient
     or moment vector's length differs from the parameter vector's, if the
@@ -164,8 +171,12 @@ def adam_step(params: FlatBuffers, grads: FlatBuffers, state: AdamState) -> None
         raise ShapeError(f"Adam needs a contiguous float64 or float32 gradient, got {g.dtype}")
     if _kernels is None:
         _kernels = _load_kernels()
+    w = None  # the float32 shadow to rewrite in the same pass
+    if isinstance(params, ModelParams):
+        w = params.step_buffers.adam_shadow(params, g.dtype)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    _kernels[g.dtype](p.ctypes.data, g.ctypes.data, m.ctypes.data, v.ctypes.data, p.size,
+    _kernels[g.dtype](p.ctypes.data, g.ctypes.data, m.ctypes.data, v.ctypes.data,
+                      None if w is None else w.ctypes.data, p.size,
                       b1, b2, 1.0 - b1, 1.0 - b2, 1.0 - b1 ** state.t, 1.0 - b2 ** state.t,
                       state.lr, state.eps)

@@ -271,7 +271,8 @@ def incremental_task_accuracy(params: ModelParams, test_dataset: Dataset,
     if params.k < test_dataset.n_classes:
         raise ConfigError(f"K={params.k} smaller than the {test_dataset.n_classes} classes")
     class_to_pair = {cls: pair for pair in task_pairs for cls in pair}
-    uncovered = sorted(set(np.unique(test_dataset.labels).tolist()) - class_to_pair.keys())
+    uncovered = sorted(set(np.flatnonzero(np.bincount(test_dataset.labels)).tolist())
+                       - class_to_pair.keys())
     if uncovered:
         raise ConfigError(f"task pairs {task_pairs} do not cover classes {uncovered}")
     q = task_posteriors(test_dataset.images, params)

@@ -33,11 +33,13 @@ array. They return new arrays (the gradients, the `ElboBreakdown` fields),
 never views of the buffers.
 
 They compute in the parameters' `compute_dtype`. Under float32 the step
-buffers hold a float32 copy of the parameter vector, refreshed on every
-call, and the batch and noise are rounded to float32, so the whole forward
-and backward pass, its breakdown and its gradient vector are float32. The
-parameter vector itself stays float64, and so does every other function
-here (evaluation, `decode`, `generate`).
+buffers hold a float32 copy of the parameter vector (the shadow), and the
+batch and noise are rounded to float32, so the whole forward and backward
+pass, its breakdown and its gradient vector are float32. `adam_step`
+rewrites the shadow as it updates the parameters, so a call copies the
+parameter vector only when the shadow is new or was left stale (see
+`StepBuffers`). The parameter vector itself stays float64, and so does
+every other function here (evaluation, `decode`, `generate`).
 """
 
 from __future__ import annotations
@@ -195,6 +197,11 @@ class ModelParams(FlatBuffers):
         self.k += 1
         super().__init__(_shapes(self.arch, self.k), vector)
 
+    def __setitem__(self, name: str, value) -> None:
+        """Copy `value` into buffer `name`, which leaves the shadow stale."""
+        super().__setitem__(name, value)
+        self.step_buffers.mirrored = False
+
 
 class StepBuffers:
     """Decoder work arrays of `backward` and `elbo` in the compute dtype,
@@ -220,6 +227,13 @@ class StepBuffers:
     constrained loss uses their first B rows. `fit` makes the block again
     only when K changes (expansion), a larger batch arrives or the dtype
     changes, so a long-lived object touches no new memory per step.
+
+    `mirrored` says whether the shadow holds the parameter vector's
+    current values. `fit` clears it when it makes the block, `weights`
+    copies only while it is clear and then sets it, `adam_shadow` keeps it
+    set when `adam_step` rewrites the shadow in its update pass (else
+    clears it), and `ModelParams.__setitem__` clears it. Code that writes
+    the parameter vector any other way must clear it too.
     """
 
     def __init__(self):
@@ -228,6 +242,7 @@ class StepBuffers:
         self.rows = 0
         self.dtype = np.dtype(np.float64)
         self.shadow: FlatBuffers | None = None
+        self.mirrored = False
 
     def fit(self, params: ModelParams, batch: int, dtype=np.float64) -> "StepBuffers":
         """Make sure the buffers fit `params` and a batch of `batch` samples in `dtype`."""
@@ -246,15 +261,30 @@ class StepBuffers:
         *self.masks, self.p_mask, self.flags = _carve(memory[n_bytes:].view(np.bool_), bools)
         self.shadow = FlatBuffers(params.shapes, shadow, params.spans) if n_shadow else None
         self.arch, self.k, self.rows, self.dtype = params.arch, params.k, rows, dtype
+        self.mirrored = False
         return self
 
     def weights(self, params: ModelParams) -> FlatBuffers:
         """The parameters in the compute dtype: `params` itself in its own
-        dtype, else the shadow, refreshed from `params.vector`."""
+        dtype, else the shadow, copied from `params.vector` unless it
+        already mirrors it."""
         if self.shadow is None:
             return params
-        np.copyto(self.shadow.vector, params.vector)
+        if not self.mirrored:
+            np.copyto(self.shadow.vector, params.vector)
+            self.mirrored = True
         return self.shadow
+
+    def adam_shadow(self, params: ModelParams, grad_dtype) -> np.ndarray | None:
+        """The shadow vector for `adam_step` to rewrite as it updates
+        `params`, which keeps the shadow mirrored. Only a float32 shadow of
+        `params`' size, under a float32 gradient, is handed over (an
+        expansion leaves an old-size one until the next `fit`); otherwise
+        None, and any shadow is marked stale."""
+        shadow = None if self.shadow is None else self.shadow.vector
+        self.mirrored = (grad_dtype == np.float32 and shadow is not None
+                         and shadow.dtype == np.float32 and shadow.size == params.vector.size)
+        return shadow if self.mirrored else None
 
 
 def add_component_rows(arch: Architecture, k: int, vector: np.ndarray,

@@ -325,11 +325,11 @@ def grad_rel_errors(params: ModelParams, grads: Mapping[str, np.ndarray],
     trial = params.clone()
     out = {}
     for name, buf in trial.buffers():
-        def f(v, buf=buf):
-            np.copyto(buf, v.reshape(buf.shape))
+        def f(v, name=name):
+            trial[name] = v
             return loss(trial)
         fd = finite_difference_grad(f, buf, h)
-        np.copyto(buf, params[name])
+        trial[name] = params[name]
         g = grads[name]
         denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
         out[name] = float(np.max(np.abs(g - fd) / denom))

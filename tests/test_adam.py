@@ -10,7 +10,9 @@ import mixvae
 from mixvae import adam
 from mixvae.adam import AdamState, adam_step
 from mixvae.errors import KernelBuildError, MixvaeError, ShapeError
-from mixvae.model import FlatBuffers
+from conftest import random_inputs, tiny_params
+from mixvae.model import FlatBuffers, ModelParams, StepBuffers, backward, draw_eps
+from mixvae.rng import RngState
 
 
 def flat(**arrays):
@@ -117,33 +119,61 @@ def bits(a):
     return a.view(np.uint64)
 
 
+def with_working_copy(p0):
+    """A `ModelParams` over the one buffer `p0` whose step buffers hold a
+    float32 shadow of its size, filled with NaN, so `adam_step` picks the
+    working copy as it does in training."""
+    params = ModelParams.__new__(ModelParams)
+    FlatBuffers.__init__(params, {"w": p0.shape}, p0)
+    params.step_buffers = StepBuffers()
+    params.step_buffers.shadow = FlatBuffers(params.shapes, np.full(p0.size, np.nan, np.float32))
+    return params
+
+
 # 17 and 4099 are odd, so a vector body of 2, 4 or 8 doubles leaves a
 # scalar tail after it; 1 to 5 are shorter than, or just past, one vector.
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 4099])
 def test_kernel_matches_whole_array_reference(n, dtype):
     # every bit of p, m and v, with signed zeros, subnormals and a gradient
-    # whose square overflows (float64) or is near float32's largest
+    # whose square overflows (float64) or is near float32's largest; under a
+    # float32 gradient also every bit of the working copy, over parameters
+    # held at signed zeros, float64 and float32 subnormals and +-1e200,
+    # which rounds to +-inf
     info = np.finfo(dtype)
     big = 1e200 if dtype == np.float64 else float(info.max)
     specials = np.array([0.0, -0.0, info.smallest_subnormal, -1e-310 if dtype == np.float64
                          else -1e-40, big, -big], dtype=dtype)
     rng = np.random.default_rng(n)
     p0 = rng.standard_normal(n)
-    params = flat(w=p0)
+    held = rng.random(n) < 0.3
+    p0[held] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1e-40, -1e-44, 1e200, -1e200], held.sum())
+    p0[-1] = 1e200 if n % 2 else -1e200  # moved by no finite update
+    params = with_working_copy(p0)
+    shadow = params.step_buffers.shadow.vector
     state = AdamState()
     p, m, v = p0.copy(), np.zeros(n), np.zeros(n)
     for t in range(1, 4):
         g = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)).astype(dtype)
         pick = rng.random(n) < 0.3
         g[pick] = rng.choice(specials, pick.sum())
+        g[held] = 0.0  # zero moments: the held parameters keep their values
         g[-1] = specials[2 * t % specials.size]  # the last element is in the tail
         adam_step(params, FlatBuffers({"w": (n,)}, g), state)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             whole_array_reference(p, m, v, g.astype(np.float64), t)
+            p32 = p.astype(np.float32)
         assert np.array_equal(bits(params.vector), bits(p))
         assert np.array_equal(bits(state.m.vector), bits(m))
         assert np.array_equal(bits(state.v.vector), bits(v))
+        if dtype == np.float32:
+            assert np.array_equal(shadow.view(np.uint32), p32.view(np.uint32))
+            assert np.isinf(shadow[-1]) and params.step_buffers.mirrored
+        else:  # a float64 gradient leaves the working copy alone, and stale
+            assert np.isnan(shadow).all() and not params.step_buffers.mirrored
+    if dtype == np.float32 and n > 100:
+        assert {0.0, -0.0} <= set(shadow[held].tolist())
+        assert np.signbit(shadow[held & (p0 == 0)]).any()
 
 
 class RecordingKernels(dict):
@@ -152,9 +182,34 @@ class RecordingKernels(dict):
     def __init__(self):
         super().__init__((np.dtype(d), self.call) for d in (np.float64, np.float32))
         self.calls = 0
+        self.working_copies = []  # the pointer each call got for the float32 copy
 
     def call(self, *args):
         self.calls += 1
+        self.working_copies.append(args[4])
+
+
+@pytest.mark.parametrize("case", ["float32", "float64 gradient", "plain FlatBuffers"])
+def test_only_a_float32_step_of_a_float32_model_gets_the_working_copy(case, monkeypatch):
+    kernels = RecordingKernels()
+    monkeypatch.setattr(adam, "_kernels", kernels)
+    params = tiny_params(seed=8)
+    params.compute_dtype = np.dtype(np.float32)
+    _, grads, _ = backward(random_inputs(4, 6), params, None,
+                           eps=draw_eps(params, 4, RngState(8, (65,))))
+    bufs = params.step_buffers
+    assert grads.vector.dtype == np.float32 and bufs.mirrored
+    if case == "float64 gradient":
+        grads = FlatBuffers(grads.shapes, grads.vector.astype(np.float64))
+    elif case == "plain FlatBuffers":
+        params = FlatBuffers(params.shapes, params.vector)
+    adam_step(params, grads, AdamState())
+    if case == "float32":
+        assert kernels.working_copies == [bufs.shadow.vector.ctypes.data] and bufs.mirrored
+    else:
+        assert kernels.working_copies == [None]
+    if case == "float64 gradient":  # the parameters moved and the shadow did not
+        assert not bufs.mirrored
 
 
 @pytest.mark.parametrize("case", ["float32 params", "float32 moment", "float16 gradient"])

@@ -7,15 +7,16 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_inputs, tiny_params
-from mixvae import model
+from conftest import forward_loss, random_inputs, tiny_params
+from mixvae import adam, model
 from mixvae.adam import AdamState, adam_step
 from mixvae.checkpoint import load_checkpoint
 from mixvae.config import apply_overrides, load_preset
 from mixvae.data import Dataset, save_matrix_dataset
-from mixvae.model import Architecture, FlatBuffers, backward, draw_eps, init_params
+from mixvae.model import (Architecture, FlatBuffers, ModelParams, backward, draw_eps,
+                          init_params)
 from mixvae.rng import RngState
-from mixvae.train import run_train
+from mixvae.train import grad_rel_errors, run_train
 
 # Tolerances of the float32 step against the float64 one, fixed before
 # measuring. float32 rounds each operation at 6e-8 relative; the loss sums
@@ -108,6 +109,85 @@ def test_step_buffers_are_made_again_for_a_new_compute_dtype():
     backward(x, params, None, eps=eps)
     assert bufs.out is kept
     assert params.clone().compute_dtype == np.float32
+
+
+
+def test_adam_keeps_the_shadow_so_no_step_copies_it(monkeypatch):
+    params = with_dtype(tiny_params(seed=9, k=2), np.float32)
+    x, rng, state = random_inputs(4, 6), RngState(9, (66,)), AdamState()
+    copies = []
+    real_copyto = np.copyto
+
+    def counting_copyto(dst, src, **kw):
+        copies.append(dst)
+        real_copyto(dst, src, **kw)
+    monkeypatch.setattr(np, "copyto", counting_copyto)
+    start = params.vector.copy()
+    for _ in range(4):
+        _, grads, _ = backward(x, params, rng)
+        adam_step(params, grads, state)
+    shadow = params.step_buffers.shadow
+    cache, _, _ = model._run_forward(x, params, rng, None)
+    assert cache.w is shadow and params.step_buffers.mirrored
+    # one copy, when the first backward made the block; Adam wrote the rest
+    assert [dst is shadow.vector for dst in copies] == [True]
+    assert not np.array_equal(params.vector, start)
+    assert np.array_equal(shadow.vector, params.vector.astype(np.float32))
+
+
+def test_a_buffer_written_by_name_reaches_the_next_loss():
+    params = with_dtype(tiny_params(seed=10), np.float32)
+    x, eps = random_inputs(4, 6), draw_eps(params, 4, RngState(10, (67,)))
+    backward(x, params, None, eps=eps)
+    params["lat_b"] = params["lat_b"] + 0.25
+    assert not params.step_buffers.mirrored
+    fresh = ModelParams(params.arch, params.k, params.vector.copy(), np.float32)
+    loss, grads, _ = backward(x, params, None, eps=eps)
+    fresh_loss, fresh_grads, _ = backward(x, fresh, None, eps=eps)
+    assert loss == fresh_loss
+    assert np.array_equal(grads.vector.view(np.uint32), fresh_grads.vector.view(np.uint32))
+
+
+def test_finite_differences_of_a_float32_clone_see_every_perturbation():
+    params = with_dtype(tiny_params(seed=12), np.float32)
+    x, eps = random_inputs(3, 6), draw_eps(params, 3, RngState(12, (69,)))
+    _, grads, _ = backward(x, params, None, eps=eps)
+    losses = []
+
+    def loss(trial):
+        losses.append(forward_loss(x, trial, eps))
+        return losses[-1]
+    grad_rel_errors(params, grads, loss, h=1e-2)
+    # a clone whose shadow missed the writes would give one loss throughout
+    assert len(losses) == 2 * params.vector.size and len(set(losses)) > params.vector.size
+
+
+def test_an_expansion_keeps_the_old_shadow_from_adam(monkeypatch):
+    params = with_dtype(tiny_params(seed=11, k=2), np.float32)
+    x = random_inputs(4, 6)
+    eps = draw_eps(params, 4, RngState(11, (68,)))
+    _, grads, _ = backward(x, params, None, eps=eps)
+    adam_step(params, grads, AdamState())  # loads the compiled loop
+    seen = []
+    monkeypatch.setattr(adam, "_kernels", {
+        dtype: lambda *args, fn=fn: (seen.append(args[4]), fn(*args))
+        for dtype, fn in adam._kernels.items()})
+    old = params.step_buffers.shadow
+    old_bits = old.vector.copy()
+    params.add_component_copy(1)
+    n = params.vector.size
+    assert old.vector.size < n
+    adam_step(params, FlatBuffers(params.shapes, np.full(n, 0.5, np.float32)), AdamState())
+    assert seen == [None] and np.array_equal(old.vector, old_bits)
+    eps = draw_eps(params, 4, RngState(11, (70,)))
+    cache, _, _ = model._run_forward(x, params, None, eps)
+    shadow = params.step_buffers.shadow
+    assert cache.w is shadow and shadow is not old and shadow.vector.size == n
+    assert np.array_equal(shadow.vector, params.vector.astype(np.float32))
+    _, grads, _ = backward(x, params, None, eps=eps)
+    adam_step(params, grads, AdamState())
+    assert seen == [None, shadow.vector.ctypes.data]
+    assert np.array_equal(shadow.vector, params.vector.astype(np.float32))
 
 
 def _random_784(path, seed, n_per_class, n_classes=4):

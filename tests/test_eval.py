@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixvae
 from conftest import tiny_params
 from mixvae import evaluation
 from mixvae.data import Dataset, make_blob_dataset
@@ -375,6 +379,34 @@ class TestIncremental:
         preds = [0 if x[0] < 0.5 else 1 for x in ds.images]
         expected = np.mean([p == t for p, t in zip(preds, ds.labels)])
         assert incremental_class_accuracy(params, ds) == pytest.approx(expected)
+
+
+def test_evaluation_leaves_numpy_ma_unimported():
+    # NumPy 2's np.unique imports numpy.ma on its first call; the child's last
+    # call shows that this NumPy does, so the test can see it happen
+    src = os.path.dirname(os.path.dirname(mixvae.__file__))
+    child = f"""
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from mixvae.data import make_blob_dataset
+from mixvae.evaluation import evaluate, incremental_class_accuracy, incremental_task_accuracy
+from mixvae.model import Architecture, init_params
+from mixvae.rng import RngState
+ds = make_blob_dataset(20, RngState(28, (119,)), dim=16)
+arch = Architecture(input_dim=16, encoder=(8, 6), n_z=3, decoder=(6, 8), k_max=4)
+params = init_params(arch, RngState(29, (120,)), k_init=4)
+seen = ['numpy.ma' in sys.modules]
+evaluate(params, ds, ds, RngState(30, (121,)), knn_train_subsample=40)
+incremental_class_accuracy(params, ds)
+incremental_task_accuracy(params, ds, ((0, 1), (2, 3)))
+seen.append('numpy.ma' in sys.modules)
+np.unique(ds.labels)
+print(*seen, 'numpy.ma' in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "True"]
 
 
 class TestExports:

@@ -15,10 +15,12 @@ with a 300-point test subsample; for config (d), which is supervised,
 the `eval` stdout. A last line digests the `elbo` fields and `generate`
 samples of a seeded tiny net whose decoder output biases are +-40, so
 every Bernoulli mean sits on the BERNOULLI_EPS clamp and the line
-changes with the clamp's value. After it, one line digests all the
-training outputs of a short run of config (e), which trains in float32
-(`arch.compute_dtype`), together; a tree without that key prints no such
-line. With two `src/` directories it lists
+changes with the clamp's value. After it, one line per float32 config
+(`arch.compute_dtype`) digests all the training outputs of its short run
+together: (e) is an MGR run, and (f) an SMGR run with fixed-period
+snapshots, so it covers the constrained replay loss and the `elbo` of an
+evaluation step that falls on a replay batch. A tree without that key
+prints no such lines. With two `src/` directories it lists
 each in its own process and prints only the outputs whose digests differ
 (or that only one side wrote), as `tag preset name PARENT -> CHANGE`,
 and exits 1 if there are any: the byte-identity gate of a refactor. BLAS is pinned to
@@ -48,9 +50,14 @@ PINNED = {
                                 "replay.mode=smgr", "stream.total_steps=800",
                                 "eval.cadence=400"]),
 }
-# Trained in float32: one digest over every output file of the run.
-FLOAT32 = ("e", "toy-blobs-mgr-dyn", ["stream.total_steps=1200", "eval.cadence=400",
-                                      "arch.compute_dtype=float32"])
+# Trained in float32: one digest over every output file of each run.
+FLOAT32 = {
+    "e": ("toy-blobs-mgr-dyn", ["stream.total_steps=1200", "eval.cadence=400",
+                                "arch.compute_dtype=float32"]),
+    "f": ("toy-blobs-mgr-dyn", ["stream.total_steps=1200", "eval.cadence=400",
+                                "replay.mode=smgr", "replay.snapshot=fixed",
+                                "replay.snapshot_period=300", "arch.compute_dtype=float32"]),
+}
 
 
 def digest(path: str) -> str:
@@ -115,14 +122,13 @@ def clamp_digest() -> str:
     return h.hexdigest()[:16]
 
 
-def float32_digest() -> str | None:
-    """Digest of config (e)'s training outputs; None when the tree has no
-    `arch.compute_dtype` key."""
+def float32_digest(preset: str, overrides: list[str]) -> str | None:
+    """Digest of a float32 config's training outputs; None when the tree
+    has no `arch.compute_dtype` key."""
     from mixvae.config import apply_overrides, load_preset
     from mixvae.errors import ConfigError
     from mixvae.train import run_train
 
-    _, preset, overrides = FLOAT32
     with tempfile.TemporaryDirectory() as out:
         try:
             cfg = apply_overrides(load_preset(preset), overrides + [f"out_dir={out}"])
@@ -174,8 +180,9 @@ def main(argv: list[str]) -> int:
             for name, value in read_side(tag, preset, overrides, out).items():
                 print(f"{tag} {preset} {name} {value}")
     print(f"clamp tiny-net elbo+generate {clamp_digest()}")
-    if value := float32_digest():
-        print(f"{FLOAT32[0]} {FLOAT32[1]} float32-run {value}")
+    for tag, (preset, overrides) in FLOAT32.items():
+        if value := float32_digest(preset, overrides):
+            print(f"{tag} {preset} float32-run {value}")
     return 0
 
 
