@@ -120,19 +120,6 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     return Dataset(images, labels, split=split, image_hw=(rows, cols))
 
 
-def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
-    """Write an IDX pair. images: (N, rows, cols) uint8; labels: (N,) uint8."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(labels.tobytes())
-
-
 def save_matrix_dataset(path, dataset: Dataset) -> None:
     """Generic binary layout: magic, N u64, D u64, C u64, rows u32, cols u32,
     dtype u8 (0 = f64), then N*D little-endian f64 intensities, then N i64 labels."""

@@ -334,15 +334,6 @@ def save_grid_matrix(path, matrix: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
 
 
-def load_grid_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:6] != GRID_MAGIC:
-        raise ValueError(f"{path} is not a raw matrix file")
-    rows, cols = struct.unpack_from("<QQ", blob, 6)
-    return np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=22).reshape(rows, cols).copy()
-
-
 def export_samples(checkpoint_paths, n: int, out_pgm, out_matrix=None, seed: int = 0,
                    cols: int = 10) -> np.ndarray:
     """n generated samples per checkpoint, tiled `cols` per grid row.

@@ -50,7 +50,6 @@ class PoorSampleBuffer:
         self.threshold = float(threshold)
         self.max_age = int(max_age)
         self.samples: list[np.ndarray] = []
-        self.elbos: list[float] = []
         self.steps: list[int] = []
 
     def __len__(self) -> int:
@@ -62,7 +61,6 @@ class PoorSampleBuffer:
 
     def clear(self) -> None:
         self.samples = []
-        self.elbos = []
         self.steps = []
 
     def expire(self, step: int) -> None:
@@ -70,7 +68,6 @@ class PoorSampleBuffer:
         keep = [i for i, s in enumerate(self.steps) if step - s < self.max_age]
         if len(keep) < len(self.steps):
             self.samples = [self.samples[i] for i in keep]
-            self.elbos = [self.elbos[i] for i in keep]
             self.steps = [self.steps[i] for i in keep]
 
     def as_matrix(self) -> np.ndarray:
@@ -104,7 +101,6 @@ def screen_batch(x: np.ndarray, elbo_totals: np.ndarray, buffer: PoorSampleBuffe
     buffer.expire(step)
     rows = np.flatnonzero(totals < buffer.threshold)[:buffer.capacity - len(buffer)]
     buffer.samples.extend(x[rows])
-    buffer.elbos.extend(totals[rows].tolist())
     buffer.steps.extend([int(step)] * len(rows))
     return len(rows)
 

@@ -359,24 +359,6 @@ def component_posterior_params(h: np.ndarray, k: int, params: ModelParams):
     return mu, sig
 
 
-def prior_params(k: int, params: ModelParams):
-    """(mu_z(y=k), sigma_z(y=k)): row lookup into the prior table."""
-    if not (0 <= k < params.k):
-        raise IndexError(f"component {k} out of range for K={params.k}")
-    return params["prior_mu"][k].copy(), softplus(params["prior_rho"][k]) + SIGMA_FLOOR
-
-
-def reparameterize(mu: np.ndarray, sigma: np.ndarray, rng: RngState) -> np.ndarray:
-    """z = mu + sigma * eps with eps ~ N(0, I)."""
-    mu = as_f64(mu)
-    sigma = as_f64(sigma)
-    if mu.shape != sigma.shape:
-        raise ShapeError(f"mu shape {mu.shape} != sigma shape {sigma.shape}")
-    if np.any(sigma <= 0):
-        raise NumericError("reparameterize requires strictly positive sigma")
-    return mu + sigma * rng.normal(mu.shape)
-
-
 def decode(z: np.ndarray, params: ModelParams) -> np.ndarray:
     """Bernoulli mean vector in (0,1)^D, clamped away from {0,1}."""
     z = as_f64(z)
@@ -388,40 +370,6 @@ def decode(z: np.ndarray, params: ModelParams) -> np.ndarray:
     o = g @ params[w_out].T + params[b_out]
     p = np.clip(sigmoid(o), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
     return p.reshape(lead + (params.arch.input_dim,))
-
-
-def bernoulli_log_likelihood(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_d x_d ln p_d + (1-x_d) ln(1-p_d); soft targets in [0,1] allowed."""
-    x = as_f64(x)
-    p = np.clip(as_f64(p), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
-    if x.shape != p.shape:
-        raise ShapeError(f"target shape {x.shape} != mean shape {p.shape}")
-    return np.sum(x * np.log(p) + (1.0 - x) * np.log1p(-p), axis=-1)
-
-
-def gaussian_kl(q_mu, q_sigma, p_mu, p_sigma) -> np.ndarray:
-    """KL[N(q_mu, q_sigma^2) || N(p_mu, p_sigma^2)] for diagonal Gaussians."""
-    q_mu, q_sigma, p_mu, p_sigma = map(as_f64, (q_mu, q_sigma, p_mu, p_sigma))
-    if not (q_mu.shape == q_sigma.shape and p_mu.shape == p_sigma.shape
-            and q_mu.shape[-1] == p_mu.shape[-1]):
-        raise ShapeError("gaussian_kl dimension mismatch")
-    if np.any(q_sigma <= 0) or np.any(p_sigma <= 0):
-        raise NumericError("gaussian_kl requires strictly positive sigmas")
-    var_ratio = (q_sigma / p_sigma) ** 2
-    delta = (q_mu - p_mu) / p_sigma
-    return np.sum(np.log(p_sigma / q_sigma) + 0.5 * (var_ratio + delta * delta) - 0.5, axis=-1)
-
-
-def categorical_kl(q: np.ndarray, k: int | None = None) -> float | np.ndarray:
-    """KL[q || uniform over k classes] = sum q_i ln(q_i k), with 0 ln 0 := 0."""
-    q = as_f64(q)
-    if k is None:
-        k = q.shape[-1]
-    if not np.allclose(np.sum(q, axis=-1), 1.0, atol=1e-6):
-        raise ValueError("categorical_kl: q must sum to 1")
-    terms = np.where(q > 0, q * np.log(np.maximum(q, 1e-300) * k), 0.0)
-    out = np.sum(terms, axis=-1)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +389,6 @@ class ElboBreakdown:
     gauss_kl_per_component: np.ndarray | None
     cat_kl: np.ndarray
     total: np.ndarray | None
-
-    def recompose(self) -> np.ndarray:
-        w = self.task_posterior
-        return np.sum(w * (self.recon_per_component - self.gauss_kl_per_component),
-                      axis=-1) - self.cat_kl
 
     def squeezed(self) -> "ElboBreakdown":
         return ElboBreakdown(self.task_posterior[0], self.recon_per_component[0],

@@ -1,9 +1,11 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from mixvae import train
+from mixvae.evaluation import GRID_MAGIC
 from mixvae.model import Architecture, backward, elbo, init_params, supervised_elbo
 from mixvae.rng import RngState
 from mixvae.train import grad_rel_errors
@@ -63,6 +65,15 @@ def corrupt_lat_w(monkeypatch):
         grads["lat_w"] = grads["lat_w"] + 1e-2
         return loss, grads, bd
     monkeypatch.setattr(train, "backward", backward_off)
+
+
+def load_grid_matrix(path):
+    """The matrix `evaluation.save_grid_matrix` wrote to path."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    assert blob[:6] == GRID_MAGIC, f"{path} is not a raw matrix file"
+    rows, cols = struct.unpack_from("<QQ", blob, 6)
+    return np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=22).reshape(rows, cols)
 
 
 def random_inputs(n, d, seed=5):

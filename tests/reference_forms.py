@@ -8,6 +8,11 @@ evaluates them with fewer numpy calls (in place, with shared terms
 computed once, with `ufunc.reduce` in place of the wrappers) but gives
 each element the same IEEE operations, so tests compare the two bit for
 bit.
+
+They also hold the whole-array ELBO terms (`bernoulli_log_likelihood`,
+`gaussian_kl`, `prior_params`) and identities (`recompose`,
+`independent_single_vae_elbo`) that acceptance criterion 2 checks the
+fused pass against.
 """
 
 import numpy as np
@@ -37,14 +42,48 @@ def log_softmax(v, axis=-1):
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
+def bernoulli_log_likelihood(x, p):
+    """sum_d x_d ln p_d + (1-x_d) ln(1-p_d) over the last axis, for clamped
+    means p; soft targets x in [0,1] allowed."""
+    return np.sum(x * np.log(p) + (1.0 - x) * np.log1p(-p), axis=-1)
+
+
+def gaussian_kl(q_mu, q_sigma, p_mu, p_sigma):
+    """KL[N(q_mu, q_sigma^2) || N(p_mu, p_sigma^2)] of diagonal Gaussians,
+    summed over the last axis."""
+    var_ratio = (q_sigma / p_sigma) ** 2
+    delta = (q_mu - p_mu) / p_sigma
+    return np.sum(np.log(p_sigma / q_sigma) + 0.5 * (var_ratio + delta * delta) - 0.5, axis=-1)
+
+
+def prior_params(k, params):
+    """(mu_z(y=k), sigma_z(y=k)): row k of the prior table."""
+    return params["prior_mu"][k], softplus(params["prior_rho"][k]) + model.SIGMA_FLOOR
+
+
+def recompose(bd):
+    """The marginalized objective from an `ElboBreakdown`'s terms."""
+    return np.sum(bd.task_posterior * (bd.recon_per_component - bd.gauss_kl_per_component),
+                  axis=-1) - bd.cat_kl
+
+
+def independent_single_vae_elbo(x, params, eps):
+    """Oracle: plain single-component VAE objective composed from the
+    public single-purpose ops, bypassing the marginalized path."""
+    h = model.encode_shared(x, params)
+    mu, sig = model.component_posterior_params(h, 0, params)
+    recon = bernoulli_log_likelihood(x, model.decode(mu + sig * eps, params))
+    p_mu, p_sig = prior_params(0, params)
+    return float(recon - gaussian_kl(mu, sig, p_mu, p_sig))
+
+
 def bernoulli_head(x, o):
     """Clamped means, where the clamp is inactive, and the (B, R) log-likelihood
     of the (B, R, D) logits `o` at targets x (B, D)."""
     p = sigmoid(o)
     mask = (p > EPS) & (p < 1.0 - EPS)
     p = np.clip(p, EPS, 1.0 - EPS)
-    xb = x[:, None, :]
-    return p, mask, np.sum(xb * np.log(p) + (1.0 - xb) * np.log1p(-p), axis=2)
+    return p, mask, bernoulli_log_likelihood(x[:, None, :], p)
 
 
 def bernoulli_head_backward(x, p, mask, g_r):
@@ -52,18 +91,19 @@ def bernoulli_head_backward(x, p, mask, g_r):
 
 
 def _relu_layers(h, params, layers):
+    """The stack's output and each layer's (input, pre-activation)."""
     cache = []
     for w, b in layers:
         a = h @ params[w].T + params[b]
-        cache.append((h, a > 0))
+        cache.append((h, a))
         h = np.where(a > 0, a, 0.0)
     return h, cache
 
 
 def _relu_layers_backward(g, params, layers, cache, grads):
     for i in reversed(range(len(layers))):
-        (w, b), (h, mask) = layers[i], cache[i]
-        g = g * mask
+        (w, b), (h, a) = layers[i], cache[i]
+        g = g * (a > 0)
         grads[w] = g.T @ h
         grads[b] = g.sum(axis=0)
         if i:
@@ -92,9 +132,7 @@ def forward_backward(params, x, eps, y=None):
     p, p_mask, recon = bernoulli_head(x, o)
 
     psig = softplus(params["prior_rho"]) + model.SIGMA_FLOOR
-    var_ratio = (sig / psig[None]) ** 2
-    delta = (mu - params["prior_mu"][None]) / psig[None]
-    klg = np.sum(np.log(psig[None] / sig) + 0.5 * (var_ratio + delta * delta) - 0.5, axis=2)
+    klg = gaussian_kl(mu, sig, params["prior_mu"][None], psig[None])
     cat_kl = np.sum(q * (ln_q + np.log(k)), axis=1)
     if y is None:
         value = np.sum(q * (recon - klg), axis=1) - cat_kl

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import reference_forms as ref
 from conftest import MNIST_DIR, fd_check, needs_mnist, random_inputs, tiny_params
 from mixvae.config import apply_overrides, load_preset
 from mixvae.data import load_idx
@@ -20,16 +21,11 @@ from mixvae.evaluation import knn_errors
 from mixvae.expansion import PoorSampleBuffer, screen_batch, select_parent
 from mixvae.model import (
     backward,
-    bernoulli_log_likelihood,
-    component_posterior_params,
-    decode,
     draw_eps,
     elbo,
     encode_shared,
-    gaussian_kl,
     generate,
     infer_task_posterior,
-    prior_params,
 )
 from mixvae.replay import UsageCounts, take_snapshot
 from mixvae.rng import RngState
@@ -78,12 +74,7 @@ def test_criterion_2_elbo_identities():
             rng = RngState(4000 + 100 * i + j, (2,))
             x = rng.uniform(0.02, 0.98, 6)
             eps = rng.normal(2)
-            h = encode_shared(x, params)
-            mu, sig = component_posterior_params(h, 0, params)
-            z = mu + sig * eps
-            recon = bernoulli_log_likelihood(x, decode(z, params))
-            p_mu, p_sig = prior_params(0, params)
-            oracle = float(recon - gaussian_kl(mu, sig, p_mu, p_sig))
+            oracle = ref.independent_single_vae_elbo(x, params, eps)
             got = elbo(x, params, None, eps=eps.reshape(1, 1, 2))
             worst_gap = max(worst_gap, abs(got.total - oracle))
             assert got.cat_kl == 0.0
@@ -96,7 +87,7 @@ def test_criterion_2_elbo_identities():
         rng = RngState(5000 + lo, (3,))
         x = rng.uniform(0.02, 0.98, (1000, 6))
         bd = elbo(x, params, rng)
-        worst_recompose = max(worst_recompose, float(np.max(np.abs(bd.recompose() - bd.total))))
+        worst_recompose = max(worst_recompose, float(np.max(np.abs(ref.recompose(bd) - bd.total))))
         assert np.all(bd.gauss_kl_per_component >= 0)
         assert np.all(bd.cat_kl >= -1e-15)
     assert worst_recompose < 1e-9

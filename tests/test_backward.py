@@ -320,15 +320,15 @@ def test_bernoulli_head_in_many_blocks_gives_the_bits_of_one(monkeypatch, head_b
 @pytest.mark.parametrize("k", [1, 3])
 def test_reconstruction_has_the_bits_of_the_whole_array_expressions(k):
     # elbo's blocked Bernoulli head against decode() and
-    # bernoulli_log_likelihood(), which evaluate it over whole arrays
+    # ref.bernoulli_log_likelihood(), which evaluate it over whole arrays
     params = tiny_params(seed=12, k=k)
     x = random_inputs(5, 6, seed=12)
     eps = draw_eps(params, 5, RngState(12, (39,)))
     h = model.encode_shared(x, params)
     z = np.stack([mu + sig * eps[:, j] for j in range(k)
                   for mu, sig in [model.component_posterior_params(h, j, params)]], axis=1)
-    want = model.bernoulli_log_likelihood(np.repeat(x[:, None, :], k, axis=1),
-                                          model.decode(z, params))
+    want = ref.bernoulli_log_likelihood(np.repeat(x[:, None, :], k, axis=1),
+                                        model.decode(z, params))
     assert same_bits(model.elbo(x, params, None, eps=eps).recon_per_component, want)
 
 

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 import mixvae.train as train_mod
+from conftest import load_grid_matrix
 from mixvae.checkpoint import load_checkpoint, save_checkpoint
 from mixvae.cli import main
 from mixvae.config import apply_overrides, load_preset
 from mixvae.data import MATRIX_MAGIC
-from mixvae.evaluation import (
-    incremental_class_accuracy,
-    incremental_task_accuracy,
-    load_grid_matrix,
-)
+from mixvae.evaluation import incremental_class_accuracy, incremental_task_accuracy
 from mixvae.model import Architecture, generate, init_params
 from mixvae.replay import UsageCounts
 from mixvae.rng import STREAM_EVAL, RngState, substream

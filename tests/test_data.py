@@ -14,23 +14,19 @@ from mixvae.data import (
     next_batch,
     save_matrix_dataset,
     split_train_valid,
-    write_idx,
 )
 from mixvae.errors import ConfigError, DataFormatError, StreamExhausted
 from mixvae.rng import RngState
 
 
 def write_pair(tmp_path, images, labels, gz=False):
+    """An IDX image and label file pair, gzipped when gz.
+    images: (N, rows, cols) uint8; labels: (N,) uint8."""
     ip = tmp_path / ("imgs.gz" if gz else "imgs")
     lp = tmp_path / ("labs.gz" if gz else "labs")
-    if gz:
-        raw_i = struct.pack(">IIII", 0x803, images.shape[0], images.shape[1], images.shape[2])
-        raw_i += images.astype(np.uint8).tobytes()
-        raw_l = struct.pack(">II", 0x801, len(labels)) + labels.astype(np.uint8).tobytes()
-        ip.write_bytes(gzip.compress(raw_i))
-        lp.write_bytes(gzip.compress(raw_l))
-    else:
-        write_idx(ip, lp, images, labels)
+    pack = gzip.compress if gz else bytes
+    ip.write_bytes(pack(struct.pack(">IIII", 0x803, *images.shape) + images.tobytes()))
+    lp.write_bytes(pack(struct.pack(">II", 0x801, len(labels)) + labels.tobytes()))
     return ip, lp
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixvae
-from conftest import tiny_params
+from conftest import load_grid_matrix, tiny_params
 from mixvae import evaluation
 from mixvae.data import Dataset, make_blob_dataset
 from mixvae.evaluation import (
@@ -20,7 +20,6 @@ from mixvae.evaluation import (
     incremental_class_accuracy,
     incremental_task_accuracy,
     knn_errors,
-    load_grid_matrix,
     majority_mapping,
     sample_grid,
     save_grid_matrix,

@@ -5,26 +5,22 @@ import pytest
 
 import reference_forms as ref
 from conftest import random_inputs, tiny_params
-from mixvae.errors import NumericError, ShapeError
+from mixvae.errors import ShapeError
 from mixvae.kernels import softplus
 from mixvae.model import (
     BERNOULLI_EPS,
     SIGMA_FLOOR,
     ModelParams,
     backward,
-    bernoulli_log_likelihood,
-    categorical_kl,
     component_posterior_params,
     decode,
     draw_eps,
     elbo,
     encode_shared,
-    gaussian_kl,
     infer_task_posterior,
     init_params,
     param_spec,
-    prior_params,
-    reparameterize,
+    relu_margin,
     supervised_elbo,
 )
 from mixvae.rng import RngState
@@ -110,12 +106,10 @@ class TestPosteriorAndPriorParams:
         h = encode_shared(random_inputs(1, 6)[0], params)
         with pytest.raises(IndexError):
             component_posterior_params(h, 3, params)
-        with pytest.raises(IndexError):
-            prior_params(3, params)
 
     def test_fresh_prior_rho_zero(self):
         params = tiny_params(spread_biases=False)
-        mu, sig = prior_params(0, params)
+        mu, sig = ref.prior_params(0, params)
         assert np.allclose(mu, 0.0)
         assert np.allclose(sig, math.log(2) + SIGMA_FLOOR)
 
@@ -133,7 +127,7 @@ class TestPosteriorAndPriorParams:
             onehot[k] = 1.0
             mu_oracle = onehot @ params["prior_mu"]
             sig_oracle = softplus(onehot @ params["prior_rho"]) + SIGMA_FLOOR
-            mu, sig = prior_params(k, params)
+            mu, sig = ref.prior_params(k, params)
             assert np.allclose(mu, mu_oracle, atol=1e-15)
             assert np.allclose(sig, sig_oracle, atol=1e-15)
 
@@ -210,34 +204,6 @@ class TestFlatLayout:
         assert not np.shares_memory(g1.vector, params.vector)
 
 
-class TestReparameterize:
-    def test_floor_sigma_keeps_z_near_mu(self):
-        mu = np.array([3.0, -1.0])
-        sig = np.full(2, SIGMA_FLOOR)
-        z = reparameterize(mu, sig, RngState(0, (5,)))
-        assert np.all(np.abs(z - mu) < SIGMA_FLOOR * 10)
-
-    def test_fixed_seed_reproducible(self):
-        mu, sig = np.zeros(3), np.ones(3)
-        z1 = reparameterize(mu, sig, RngState(4, (6,)))
-        z2 = reparameterize(mu, sig, RngState(4, (6,)))
-        assert np.array_equal(z1, z2)
-
-    def test_monte_carlo_mean(self):
-        # oracle: sample mean concentrates at mu within 4 sigma / sqrt(n)
-        n = 10 ** 5
-        mu = np.array([0.7, -2.0])
-        sig = np.array([1.5, 0.3])
-        rng = RngState(9, (7,))
-        draws = mu + sig * rng.normal((n, 2))
-        bound = 4 * sig / math.sqrt(n)
-        assert np.all(np.abs(draws.mean(axis=0) - mu) < bound)
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(NumericError):
-            reparameterize(np.zeros(2), np.array([1.0, 0.0]), RngState(0, (8,)))
-
-
 class TestDecode:
     def test_zero_weights_give_half(self):
         params = tiny_params(spread_biases=False)
@@ -264,15 +230,15 @@ class TestBernoulliLogLikelihood:
     def test_uniform_closed_form(self):
         d = 8
         x = np.full(d, 0.5)
-        assert bernoulli_log_likelihood(x, x) == pytest.approx(d * math.log(0.5))
+        assert ref.bernoulli_log_likelihood(x, x) == pytest.approx(d * math.log(0.5))
 
     def test_upper_bound_near_zero(self):
         x = np.ones(4)
         p = np.full(4, 1.0 - BERNOULLI_EPS)
-        assert abs(bernoulli_log_likelihood(x, p)) < 1e-5
+        assert abs(ref.bernoulli_log_likelihood(x, p)) < 1e-5
 
     def test_hand_value(self):
-        ll = bernoulli_log_likelihood(np.array([1.0, 0.0]), np.array([0.9, 0.2]))
+        ll = ref.bernoulli_log_likelihood(np.array([1.0, 0.0]), np.array([0.9, 0.2]))
         assert ll == pytest.approx(math.log(0.9) + math.log(0.8), abs=1e-12)
         assert ll == pytest.approx(-0.32850, abs=1e-5)
 
@@ -281,13 +247,14 @@ class TestGaussianKl:
     def test_identical_is_zero(self):
         mu = np.array([1.0, -2.0])
         sig = np.array([0.5, 2.0])
-        assert gaussian_kl(mu, sig, mu, sig) == pytest.approx(0.0, abs=1e-15)
+        assert ref.gaussian_kl(mu, sig, mu, sig) == pytest.approx(0.0, abs=1e-15)
 
     def test_mean_shift_half(self):
-        assert gaussian_kl(np.zeros(1), np.ones(1), np.ones(1), np.ones(1)) == pytest.approx(0.5)
+        got = ref.gaussian_kl(np.zeros(1), np.ones(1), np.ones(1), np.ones(1))
+        assert got == pytest.approx(0.5)
 
     def test_variance_ratio_closed_form(self):
-        got = gaussian_kl(np.zeros(1), np.array([2.0]), np.zeros(1), np.ones(1))
+        got = ref.gaussian_kl(np.zeros(1), np.array([2.0]), np.zeros(1), np.ones(1))
         assert got == pytest.approx(2.0 - 0.5 - math.log(2), abs=1e-12)
         assert got == pytest.approx(0.80685, abs=1e-5)
 
@@ -296,40 +263,7 @@ class TestGaussianKl:
         for _ in range(500):
             q_mu, p_mu = rng.normal(3), rng.normal(3)
             q_sig, p_sig = np.exp(rng.normal(3)), np.exp(rng.normal(3))
-            assert gaussian_kl(q_mu, q_sig, p_mu, p_sig) >= 0
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(NumericError):
-            gaussian_kl(np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1))
-
-
-class TestCategoricalKl:
-    def test_uniform_is_zero(self):
-        assert categorical_kl(np.full(4, 0.25)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_one_hot(self):
-        assert categorical_kl(np.array([0.0, 0.0, 0.0, 1.0])) == pytest.approx(math.log(4))
-
-    def test_hand_value(self):
-        got = categorical_kl(np.array([0.75, 0.25]))
-        assert got == pytest.approx(0.75 * math.log(1.5) + 0.25 * math.log(0.5), abs=1e-12)
-        assert got == pytest.approx(0.13081, abs=1e-5)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            categorical_kl(np.array([0.5, 0.2]))
-
-
-def independent_single_vae_elbo(x, params, eps):
-    """Oracle: plain single-component VAE objective composed from the
-    public single-purpose ops, bypassing the marginalized path."""
-    h = encode_shared(x, params)
-    mu, sig = component_posterior_params(h, 0, params)
-    z = mu + sig * eps
-    p = decode(z, params)
-    recon = bernoulli_log_likelihood(x, p)
-    p_mu, p_sig = prior_params(0, params)
-    return float(recon - gaussian_kl(mu, sig, p_mu, p_sig))
+            assert ref.gaussian_kl(q_mu, q_sig, p_mu, p_sig) >= 0
 
 
 class TestElbo:
@@ -340,7 +274,7 @@ class TestElbo:
             eps = RngState(i, (11,)).normal(2)
             bd = elbo(x, params, None, eps=eps.reshape(1, 1, 2))
             assert bd.cat_kl == pytest.approx(0.0, abs=1e-15)
-            oracle = independent_single_vae_elbo(x, params, eps)
+            oracle = ref.independent_single_vae_elbo(x, params, eps)
             assert bd.total == pytest.approx(oracle, abs=1e-10)
 
     def test_uniform_posterior_zero_cat_kl(self):
@@ -358,7 +292,6 @@ class TestElbo:
         recomposed = np.sum(bd.task_posterior * (bd.recon_per_component
                                                  - bd.gauss_kl_per_component), axis=1) - bd.cat_kl
         assert np.allclose(recomposed, bd.total, atol=1e-9)
-        assert np.allclose(bd.recompose(), bd.total, atol=1e-9)
 
     def test_kl_terms_nonnegative(self):
         params = tiny_params(k=3)
@@ -417,3 +350,50 @@ class TestSupervisedElbo:
         params = tiny_params(k=2)
         with pytest.raises(IndexError):
             supervised_elbo(random_inputs(1, 6)[0], 2, params, RngState(0, (19,)))
+
+
+def _relu_layers_plain(params, x, eps):
+    """(input, pre-activation) of every encoder layer and every decoder hidden
+    layer, with the decoder run on all B*K latent rows."""
+    h, enc = ref._relu_layers(x, params, params.layers["enc"])
+    z = np.stack([mu + sig * eps[:, j] for j in range(params.k)
+                  for mu, sig in [component_posterior_params(h, j, params)]], axis=1)
+    _, dec = ref._relu_layers(z.reshape(-1, params.arch.n_z), params, params.layers["dec"][:-1])
+    return enc + dec
+
+
+class TestReluMargin:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_smallest_relu_input_over_every_layer_and_row(self, k):
+        in_decoder = 0
+        for seed in range(20):
+            params = tiny_params(seed=seed, k=k)
+            x = random_inputs(4, 6, seed=seed)
+            eps = draw_eps(params, 4, RngState(seed, (43,)))
+            mins = [np.min(np.abs(a)) for _, a in _relu_layers_plain(params, x, eps)]
+            assert relu_margin(params, x, eps) == min(mins), seed
+            n_enc = len(params.layers["enc"])
+            in_decoder += min(mins[n_enc:]) < min(mins[:n_enc])
+        assert in_decoder > 0  # some seeds put the margin in the decoder
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_decoder_input_at_3e_6(self, sign):
+        # Unit 0 of the last decoder hidden layer gets weights of one sign,
+        # scaled by a power of two so that its smallest |g @ w| over the
+        # rows, s, lies in (1.5e-6, 3e-6]. The bias sign * 3e-6 - s is then
+        # exact, so that row's input is exactly sign * 3e-6 and every other
+        # row's lies further from zero.
+        params = tiny_params(seed=7, k=3)
+        x = random_inputs(4, 6, seed=7)
+        eps = draw_eps(params, 4, RngState(7, (44,)))
+        (w, bias), (g, _) = params.layers["dec"][-2], _relu_layers_plain(params, x, eps)[-1]
+        params[w][0] = sign * np.abs(params[w][0])
+        s = (g @ params[w].T)[:, 0]
+        assert np.all(s != 0)
+        params[w][0] *= 2.0 ** np.floor(np.log2(3e-6 / np.min(np.abs(s))))
+        s = (g @ params[w].T)[:, 0]
+        params[bias][0] = sign * 3e-6 - s[np.argmin(np.abs(s))]
+        pre = np.concatenate([a.ravel() for _, a in _relu_layers_plain(params, x, eps)])
+        assert np.count_nonzero(pre == sign * 3e-6) == 1
+        assert np.min(np.abs(pre)) == 3e-6
+        assert relu_margin(params, x, eps) == 3e-6

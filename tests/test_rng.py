@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from mixvae.rng import (
@@ -40,3 +42,14 @@ def test_categorical_respects_probabilities():
 
 def test_algorithm_id_fixed():
     assert ALGORITHM_ID == "pcg64"
+
+
+def test_monte_carlo_mean():
+    # oracle: sample mean concentrates at mu within 4 sigma / sqrt(n)
+    n = 10 ** 5
+    mu = np.array([0.7, -2.0])
+    sig = np.array([1.5, 0.3])
+    rng = RngState(9, (7,))
+    draws = mu + sig * rng.normal((n, 2))
+    bound = 4 * sig / math.sqrt(n)
+    assert np.all(np.abs(draws.mean(axis=0) - mu) < bound)
