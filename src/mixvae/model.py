@@ -203,6 +203,23 @@ class ModelParams(FlatBuffers):
         self.step_buffers.mirrored = False
 
 
+class GenerativeParams(FlatBuffers):
+    """A copy of the generative model of `params`: `prior_mu`, `prior_rho`
+    and the decoder. `param_spec` lists them last, so they are one slice of
+    the parameter vector, copied once. Carries what `generate` and `decode`
+    read besides the buffers: `arch`, `k` and the decoder's `layers`.
+    """
+
+    def __init__(self, params: ModelParams):
+        start = next(lo for name, lo, _, _ in params.spans if name == "prior_mu")
+        spans = tuple((name, lo - start, hi - start, shape)
+                      for name, lo, hi, shape in params.spans if lo >= start)
+        super().__init__({name: shape for name, _, _, shape in spans},
+                         params.vector[start:].copy(), spans)
+        self.arch, self.k = params.arch, params.k
+        self.layers = {"dec": params.layers["dec"]}
+
+
 class StepBuffers:
     """Decoder work arrays of `backward` and `elbo` in the compute dtype,
     reused from call to call.
@@ -359,8 +376,9 @@ def component_posterior_params(h: np.ndarray, k: int, params: ModelParams):
     return mu, sig
 
 
-def decode(z: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Bernoulli mean vector in (0,1)^D, clamped away from {0,1}."""
+def decode(z: np.ndarray, params: ModelParams | GenerativeParams) -> np.ndarray:
+    """Bernoulli mean vector in (0,1)^D, clamped away from {0,1}, from the
+    decoder of the model or of its generative copy."""
     z = as_f64(z)
     lead = z.shape[:-1]
     if z.shape[-1] != params.arch.n_z:
@@ -723,10 +741,11 @@ def backward(x: np.ndarray, params: ModelParams, rng: RngState,
     return loss, grads, cache.breakdown
 
 
-def generate(params: ModelParams, pi: np.ndarray, n: int, rng: RngState):
+def generate(params: ModelParams | GenerativeParams, pi: np.ndarray, n: int, rng: RngState):
     """Sample n inputs from the generative model under component prior pi.
 
     y ~ Cat(pi), z ~ p(z|y), x = decoder Bernoulli means (soft samples).
+    `params` is the model or its generative copy (a replay snapshot's).
     Returns (x_gen (n,D), y_gen (n,)).
     """
     pi = as_f64(pi)

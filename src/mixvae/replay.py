@@ -1,18 +1,19 @@
-"""Generative replay: usage counts, model snapshots, and replay batches.
+"""Generative replay: usage counts, generator snapshots, and replay batches.
 
 The trainer alternates 1:1 between real batches and batches generated
-from a frozen snapshot of the model. Component labels for generation are
-drawn from a usage prior: the running mean of q(y|x) over all real
-batches seen so far, which favours the components used the most. In
-self-supervised mode the sampled component labels feed back through the
-component-constrained loss.
+from a snapshot: the generative model frozen at one step (the prior rows
+p(z|y) and the decoder p(x|z)) with the usage prior of that step.
+Component labels for generation are drawn from that prior: the running
+mean of q(y|x) over all real batches seen so far, which favours the
+components used the most. In self-supervised mode the sampled component
+labels feed back through the component-constrained loss.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, generate
+from .model import GenerativeParams, ModelParams, generate
 from .rng import RngState
 
 
@@ -49,23 +50,20 @@ class UsageCounts:
         p = self.accumulated / self.total_batches
         return p / np.add.reduce(p)
 
-    def copy(self) -> "UsageCounts":
-        out = UsageCounts(len(self.accumulated))
-        out.accumulated = self.accumulated.copy()
-        out.total_batches = self.total_batches
-        return out
-
 
 class Snapshot:
-    """Frozen deep copy of the model and its usage counts at one step."""
+    """What replay reads, frozen at one step: a copy of the generative model
+    (`model.GenerativeParams`: the prior rows and the decoder, not the
+    encoder or the task and latent heads) and the replay prior of the
+    usage counts."""
 
     def __init__(self, params: ModelParams, usage: UsageCounts, step: int):
-        self.params = params.clone()
-        self.usage = usage.copy()
+        self.params = GenerativeParams(params)
+        self._prior = usage.prior()
         self.step = int(step)
 
     def prior(self) -> np.ndarray:
-        return self.usage.prior()
+        return self._prior
 
 
 def take_snapshot(params: ModelParams, counts: UsageCounts, step: int) -> Snapshot:

@@ -190,8 +190,10 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
         if alternation_anchor is None:
             alternation_anchor = step + 1
         snapshot_steps.append(step)
-        save_checkpoint(os.path.join(cfg.out_dir, f"snapshot-{step:07d}.ckpt"), snapshot.params,
-                        AdamState(adam.lr, adam.beta1, adam.beta2, adam.eps), snapshot.usage,
+        # the live state the snapshot was just copied from; the snapshot
+        # itself keeps only what replay reads
+        save_checkpoint(os.path.join(cfg.out_dir, f"snapshot-{step:07d}.ckpt"), params,
+                        AdamState(adam.lr, adam.beta1, adam.beta2, adam.eps), usage,
                         step, snapshot=True)
 
     for step in range(spec.total_steps):

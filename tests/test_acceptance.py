@@ -8,6 +8,7 @@ are opt-in via RUN_FULL_SCALE=1 because they take hours.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,15 +319,15 @@ def test_criterion_10_determinism(tmp_path):
         cfg = apply_overrides(load_preset("toy-blobs-mgr-dyn"),
                               overrides + [f"out_dir={tmp_path}/{tag}"])
         runs.append(run_train(cfg))
-    csv_a = open(runs[0].metrics_path, "rb").read()
-    csv_b = open(runs[1].metrics_path, "rb").read()
+    csv_a = Path(runs[0].metrics_path).read_bytes()
+    csv_b = Path(runs[1].metrics_path).read_bytes()
     assert csv_a == csv_b, "metrics CSVs differ between identical runs"
 
     from mixvae.checkpoint import load_checkpoint, save_checkpoint
     loaded = load_checkpoint(runs[0].checkpoint_path)
     resaved = tmp_path / "resaved.ckpt"
     save_checkpoint(resaved, loaded.params, loaded.adam, loaded.usage, loaded.step)
-    assert resaved.read_bytes() == open(runs[0].checkpoint_path, "rb").read()
+    assert resaved.read_bytes() == Path(runs[0].checkpoint_path).read_bytes()
     elapsed = time.time() - t0
     report(10, f"byte-identical metrics across reruns; checkpoint round-trip bit-exact, "
                f"{elapsed:.0f}s")

@@ -3,6 +3,7 @@ backward run in float32 against float64 master parameters."""
 
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def test_full_scale_preset_trains_in_float32_end_to_end(tmp_path):
         assert cfg.arch.compute_dtype == "float32"
         result = run_train(cfg)
         assert result.snapshot_steps == [3, 7, 11]
-        rows = open(result.metrics_path).read().splitlines()[1:]
+        rows = Path(result.metrics_path).read_text().splitlines()[1:]
         assert len(rows) == 1
         assert all(np.isfinite(float(v)) for v in rows[0].split(",")[1:9])
         loaded = load_checkpoint(result.checkpoint_path)
@@ -217,7 +218,7 @@ def test_full_scale_preset_trains_in_float32_end_to_end(tmp_path):
         assert np.array_equal(loaded.params.vector, result.params.vector)
         assert loaded.adam.m.vector.dtype == loaded.adam.v.vector.dtype == np.float64
         names = sorted(os.listdir(result.out_dir))
-        outputs.append({n: open(os.path.join(result.out_dir, n), "rb").read()
+        outputs.append({n: Path(result.out_dir, n).read_bytes()
                         for n in names if n != "config.txt"})
     assert outputs[0] == outputs[1]
 

@@ -1,9 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_inputs, tiny_params
 from mixvae.adam import AdamState, adam_step
-from mixvae.model import backward, generate
+from mixvae.model import Architecture, ModelParams, backward, generate, param_spec
 from mixvae.replay import Snapshot, UsageCounts, replay_step, take_snapshot
 from mixvae.rng import RngState
 
@@ -81,6 +84,7 @@ class TestSnapshot:
         usage = UsageCounts(params.k)
         usage.update(np.full((8, 3), 1 / 3))
         snap = take_snapshot(params, usage, step=7)
+        full = params.clone()
         x_before, y_before = generate(snap.params, snap.prior(), 32, RngState(3, (61,)))
         adam = AdamState()
         rng = RngState(4, (62,))
@@ -91,6 +95,35 @@ class TestSnapshot:
         assert np.array_equal(x_before, x_after)
         assert np.array_equal(y_before, y_after)
         assert snap.step == 7
+        # the generative copy samples the bits of the whole model at that step
+        x_full, y_full = generate(full, usage.prior(), 32, RngState(3, (61,)))
+        assert x_full.tobytes() == x_after.tobytes()
+        assert np.array_equal(y_full, y_after)
+
+    def test_copies_only_the_generative_tail_at_full_scale(self):
+        # 784-1200-600-300-150 encoder, n_z 32, 500-500 decoder at K=25: the
+        # prior rows and the decoder are the last 661,384 of 2,794,809 values
+        arch = Architecture(784, (1200, 600, 300, 150), 32, (500, 500), k_max=25)
+        spec = param_spec(arch, 25)
+        names = [name for name, _, _ in spec]
+        tail = names[names.index("prior_mu"):]
+        assert tail == ["prior_mu", "prior_rho"] + [n for n in names if n.startswith("dec_")]
+        n_tail = sum(math.prod(shape) for name, shape, _ in spec if name in tail)
+        assert n_tail == 661_384
+        params = ModelParams(arch, 25, np.arange(2_794_809, dtype=np.float64))
+        usage = UsageCounts(25)
+        usage.update(np.full((4, 25), 0.04))
+        tracemalloc.start()
+        try:
+            snap = take_snapshot(params, usage, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n_tail + 64 * 1024
+        assert list(snap.params) == tail
+        assert not np.shares_memory(snap.params.vector, params.vector)
+        assert np.array_equal(snap.params.vector, params.vector[-n_tail:])
+        assert all(np.array_equal(snap.params[name], params[name]) for name in tail)
 
     def test_mutating_usage_after_snapshot(self):
         params = tiny_params()

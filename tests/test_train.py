@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from mixvae import evaluation
-from mixvae.checkpoint import load_checkpoint
+from mixvae.adam import AdamState
+from mixvae.checkpoint import load_checkpoint, save_checkpoint
 from mixvae.config import apply_overrides, load_preset
 from mixvae.data import Dataset, next_batch, save_matrix_dataset
 from mixvae.errors import ConfigError
 from mixvae.model import StepBuffers, elbo
-from mixvae.replay import take_snapshot
+from mixvae.replay import UsageCounts, take_snapshot
 from mixvae.rng import RngState, STREAM_EVAL, STREAM_SHUFFLE, substream
 from mixvae.train import (
     METRICS_HEADER,
@@ -59,10 +60,10 @@ class TestRunTrain:
         assert result.expansion_log and len(snapshots) == len(result.snapshot_steps) > 0
         assert len(used) > 600 and all(bufs is used[0] for bufs in used)
         # the run's own buffers are released; the snapshots only generate, so
-        # theirs were never mapped
+        # their generative copies have none
         assert result.params.step_buffers is not used[0]
         assert result.params.step_buffers.rows == 0
-        assert all(snap.params.step_buffers.rows == 0 for snap in snapshots)
+        assert not any(hasattr(snap.params, "step_buffers") for snap in snapshots)
 
     def test_seed_determinism_byte_identical(self, tmp_path):
         cfg_a = toy_cfg(tmp_path / "a")
@@ -117,6 +118,29 @@ class TestRunTrain:
             adam = load_checkpoint(os.path.join(cfg.out_dir, f"snapshot-{s:07d}.ckpt")).adam
             assert (adam.lr, adam.beta1, adam.beta2, adam.eps, adam.t) == (5e-4, 0.9, 0.99, 1e-7, 0)
             assert not adam.m.vector.any() and not adam.v.vector.any()
+
+    @pytest.mark.parametrize("snapshot_rule", [
+        {"replay.snapshot": "fixed", "replay.snapshot_period": 100},
+        {"replay.snapshot": "dynamic"}],  # a snapshot before each expansion
+        ids=["fixed", "dynamic"])
+    def test_snapshot_files_hold_the_live_state_of_their_step(self, tmp_path, monkeypatch,
+                                                              snapshot_rule):
+        taken = []
+
+        def recording_take_snapshot(params, usage, step):
+            counts = UsageCounts(params.k)
+            counts.accumulated[:] = usage.accumulated
+            counts.total_batches = usage.total_batches
+            taken.append((params.clone(), counts, step))
+            return take_snapshot(params, usage, step)
+        monkeypatch.setattr("mixvae.train.take_snapshot", recording_take_snapshot)
+        result = run_train(toy_cfg(tmp_path, **snapshot_rule))
+        assert result.expansion_log and [step for *_, step in taken] == result.snapshot_steps
+        adam = AdamState(result.adam.lr, result.adam.beta1, result.adam.beta2, result.adam.eps)
+        for params, counts, step in taken:
+            path = tmp_path / f"recorded-{step}.ckpt"
+            save_checkpoint(path, params, adam, counts, step, snapshot=True)
+            assert path.read_bytes() == (tmp_path / "run" / f"snapshot-{step:07d}.ckpt").read_bytes()
 
     def test_dynamic_snapshot_ignores_the_period(self, tmp_path):
         cfg = toy_cfg(tmp_path, steps=200,
