@@ -83,10 +83,8 @@ def zero_moments(params: FlatBuffers) -> tuple[FlatBuffers, FlatBuffers]:
     """Zero first and second moments in the parameters' layout.
 
     The two vectors are the rows of one (2, n) block, so they are one
-    allocation. On the full-scale net that block is over 32 MB, above the
-    largest request glibc's malloc serves from its heap, so it is mapped
-    and unmapped whole and leaves no hole in the heap; two separate 20 MB
-    moment vectors raised `wide-k1-iid`'s peak RSS.
+    allocation; on the full-scale net it is over 32 MB, a mapping of its
+    own under the process memory policy (`model.apply_memory_policy`).
     """
     block = np.zeros((2, params.vector.size))
     return tuple(FlatBuffers(params.shapes, row, params.spans) for row in block)

@@ -28,24 +28,30 @@ forward pass, so forward and backward always see the same noise.
 (evaluation, expansion's parent) and `decode` (replay, counter-examples) run it.
 
 `backward`, `elbo` and `supervised_elbo` decode into the `StepBuffers` that
-each `ModelParams` owns, so a training run's steps allocate no decoder-sized
-array. They return new arrays (the gradients, the `ElboBreakdown` fields),
-never views of the buffers.
+each `ModelParams` owns, and `backward` writes its gradients into their
+gradient vector, so a training run's steps allocate no decoder-sized or
+parameter-sized array. The gradients `backward` returns are that vector,
+which its next call on the same parameters rewrites; the `ElboBreakdown`
+fields are new arrays, never views of the buffers.
 
 They compute in the parameters' `compute_dtype`. Under float32 the step
 buffers hold a float32 copy of the parameter vector (the shadow), and the
 batch and noise are rounded to float32, so the whole forward and backward
-pass, its breakdown and its gradient vector are float32. `adam_step`
-rewrites the shadow as it updates the parameters, so a call copies the
-parameter vector only when the shadow is new or was left stale (see
-`StepBuffers`). The parameter vector itself stays float64, and so does
-every other function here (evaluation, `decode`, `generate`).
+pass, its breakdown and its gradient vector (4 bytes per parameter) are
+float32. `adam_step` rewrites the shadow as it updates the parameters, so
+a call copies the parameter vector only when the shadow is new or was left
+stale (see `StepBuffers`). The parameter vector itself stays float64, and
+so does every other function here (evaluation, `decode`, `generate`).
+
+`apply_memory_policy`, which `run_train` calls first, gives every array of
+4 MiB or more a memory mapping of its own, so the memory of a freed large
+array goes back to the system and peak RSS is the memory the run keeps live.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-import mmap
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
@@ -66,6 +72,11 @@ BERNOULLI_EPS = 1e-6
 # per float64 operand), so a block's operands stay in cache from one pass
 # to the next. A block holds whole samples: a toy batch is one block.
 HEAD_BLOCK = 32768
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# values in bytes `apply_memory_policy` sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD = 8 << 20
+MMAP_THRESHOLD = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -162,7 +173,7 @@ class ModelParams(FlatBuffers):
     """All learnable buffers in `param_spec` order, as views of one float64
     vector (`vector`, used as it is, or zeros when None), plus the active
     component count K, the dtype `backward` and `elbo` compute in, and the
-    object's own `StepBuffers`, unmapped until its first decode.
+    object's own `StepBuffers`, empty until its first decode.
     """
 
     def __init__(self, arch: Architecture, k: int, vector: np.ndarray | None = None,
@@ -184,7 +195,7 @@ class ModelParams(FlatBuffers):
 
     def clone(self) -> "ModelParams":
         """Independent copy: one copy of the parameter vector, the same compute
-        dtype, unmapped step buffers."""
+        dtype, empty step buffers."""
         return ModelParams(self.arch, self.k, self.vector.copy(), self.compute_dtype)
 
     def add_component_copy(self, parent: int) -> None:
@@ -220,17 +231,33 @@ class GenerativeParams(FlatBuffers):
         self.layers = {"dec": params.layers["dec"]}
 
 
-class StepBuffers:
-    """Decoder work arrays of `backward` and `elbo` in the compute dtype,
-    reused from call to call.
+def apply_memory_policy() -> None:
+    """Give every allocation of `MMAP_THRESHOLD` bytes or more a mapping of
+    its own, so a freed large array goes back to the system instead of
+    leaving a hole in the heap (glibc's own threshold grows to the largest
+    mapped block freed so far). Fixing it would pin the heap's trim
+    threshold at 128 KiB, so that is raised above the per-step arrays,
+    which are then not faulted in afresh each step. Idempotent; does
+    nothing where the C library has no `mallopt` (macOS).
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
-    All are views of one anonymous memory mapping, which freeing returns
-    to the system whole. A block from malloc would change where glibc puts
-    later allocations: freeing a mapped malloc block raises the size below
-    which it serves requests from the heap, and a block placed in the heap
-    leaves a hole there when freed, which the process keeps (with blocks
-    from `np.empty`, toy-stream's peak RSS rose by 7 MB in 4 of 10 runs).
-    The views:
+
+class StepBuffers:
+    """Work arrays of `backward` and `elbo` in the compute dtype, reused
+    from call to call.
+
+    All are views of one block from `np.empty`; under the process memory
+    policy (`apply_memory_policy`) a block of `MMAP_THRESHOLD` bytes or
+    more is a mapping of its own, which freeing returns to the system
+    whole. The views:
+    - the gradient vector (`grads`, in the parameters' layout), which
+      `backward` rewrites on every call and returns;
     - per decoder hidden layer, the activations and the ReLU mask; in
       reverse, each layer's gradient is written over its input's
       activations;
@@ -258,6 +285,7 @@ class StepBuffers:
         self.k = 0
         self.rows = 0
         self.dtype = np.dtype(np.float64)
+        self.grads: FlatBuffers | None = None
         self.shadow: FlatBuffers | None = None
         self.mirrored = False
 
@@ -266,16 +294,17 @@ class StepBuffers:
         rows, dtype = batch * params.k, np.dtype(dtype)
         if rows <= self.rows and (self.arch, self.k, self.dtype) == (params.arch, params.k, dtype):
             return self
-        d, widths = params.arch.input_dim, params.arch.decoder
+        d, widths, n = params.arch.input_dim, params.arch.decoder, params.vector.size
         block = min(rows * d, max(HEAD_BLOCK, params.k * d))
-        n_shadow = 0 if dtype == params.vector.dtype else params.vector.size
-        floats = [(n_shadow,), *((rows, w) for w in widths), (rows, d), (3, block)]
+        n_shadow = 0 if dtype == params.vector.dtype else n
+        floats = [(n,), (n_shadow,), *((rows, w) for w in widths), (rows, d), (3, block)]
         bools = [*((rows, w) for w in widths), (rows, d), (block,)]
         n_bytes = dtype.itemsize * sum(math.prod(shape) for shape in floats)
-        size = n_bytes + sum(math.prod(shape) for shape in bools)
-        memory = np.frombuffer(mmap.mmap(-1, size), np.uint8)
-        shadow, *self.acts, self.out, self.scratch = _carve(memory[:n_bytes].view(dtype), floats)
+        memory = np.empty(n_bytes + sum(math.prod(shape) for shape in bools), np.uint8)
+        grads, shadow, *self.acts, self.out, self.scratch = _carve(
+            memory[:n_bytes].view(dtype), floats)
         *self.masks, self.p_mask, self.flags = _carve(memory[n_bytes:].view(np.bool_), bools)
+        self.grads = FlatBuffers(params.shapes, grads, params.spans)
         self.shadow = FlatBuffers(params.shapes, shadow, params.spans) if n_shadow else None
         self.arch, self.k, self.rows, self.dtype = params.arch, params.k, rows, dtype
         self.mirrored = False
@@ -630,21 +659,15 @@ def _backward(params: ModelParams, cache: _Cache,
               y_obs: np.ndarray | None) -> tuple[float, FlatBuffers]:
     """Reverse-mode pass for the negative batch-mean objective.
 
-    The gradients get a new vector in the parameters' layout and the compute
-    dtype on every call, and each of its views is written exactly once. The
-    decoder's work arrays in the cache are overwritten on the way.
-
-    A float32 gradient vector is the first half of a block of 8 bytes per
-    parameter, the size of a float64 one. From a 4-byte block, the hole a
-    freed gradient leaves in glibc's heap is too small for the final
-    `evaluate`'s arrays, which then grow the heap by about 18 MB that stays
-    after the run (perfbench's wide-k1-iid: peak RSS 232 MB against 206).
+    The gradients are written into the step buffers' gradient vector, in
+    the parameters' layout and the compute dtype, and each of its views is
+    written exactly once. The decoder's work arrays in the cache are
+    overwritten on the way.
     """
     arch, views, dtype = params.arch, cache.w._views, cache.x.dtype
     b, k, nz = cache.x.shape[0], params.k, arch.n_z
     scale = -1.0 / b
-    n = params.vector.size
-    grads = FlatBuffers(params.shapes, np.empty(n * 8 // dtype.itemsize, dtype)[:n], params.spans)
+    grads = params.step_buffers.grads
     out = grads._views
     bd = cache.breakdown
     q = bd.task_posterior
@@ -733,6 +756,12 @@ def backward(x: np.ndarray, params: ModelParams, rng: RngState,
     constrained loss only task_posterior and cat_kl, and the fields that
     need the other components' decodes are None (call `elbo` with the
     same eps for those).
+
+    The grads are the gradient vector of `params.step_buffers`, in the
+    compute dtype: the next `backward` on the same `params` rewrites them
+    (copy them to keep them). They never share memory with `params.vector`,
+    the shadow or another `ModelParams`' gradients. The breakdown's fields
+    are new arrays.
     """
     cache, y, _ = _run_forward(x, params, rng, eps, y_obs)
     loss, grads = _backward(params, cache, y)

@@ -46,6 +46,7 @@ from .model import (
     Architecture,
     ModelParams,
     StepBuffers,
+    apply_memory_policy,
     backward,
     draw_eps,
     elbo,
@@ -146,6 +147,7 @@ class TrainResult:
 
 
 def run_train(cfg: ExperimentConfig) -> TrainResult:
+    apply_memory_policy()
     train, _valid, test = build_datasets(cfg)
     spec = build_stream_spec(cfg, train)
     supervised = cfg.mode == "supervised"
@@ -186,6 +188,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
 
     def note_snapshot(step: int) -> None:
         nonlocal snapshot, alternation_anchor
+        snapshot = None  # released before the new copy is made
         snapshot = take_snapshot(params, usage, step)
         if alternation_anchor is None:
             alternation_anchor = step + 1
@@ -221,6 +224,7 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
             # logs the marginalized objective of the same batch and noise.
             bd = elbo(x, params, None, eps=eps)
         adam_step(params, grads, adam)
+        del grads  # a view of the step block, which must not outlive its release below
         exp_state.steps_since_last_expansion += 1
 
         if not is_replay:
@@ -238,6 +242,8 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
             note_snapshot(step)
 
         if eval_step:
+            if step == spec.total_steps - 1:
+                params.step_buffers = StepBuffers()  # released before the final evaluation
             report = evaluate(params, test, train, substream(cfg.seed, STREAM_EVAL, step),
                               step=step, knn_train_subsample=cfg.eval.knn_train_subsample,
                               knn_test_subsample=cfg.eval.knn_test_subsample,
@@ -253,7 +259,6 @@ def run_train(cfg: ExperimentConfig) -> TrainResult:
                     fh.write(f"{step},{cls},{_fmt(acc)}\n")
             logged = (len(snapshot_steps), len(exp_state.expansion_log))
 
-    params.step_buffers = StepBuffers()  # unmapped before the final checkpoint write
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.ckpt")
     save_checkpoint(ckpt_path, params, adam, usage, spec.total_steps)
     return TrainResult(out_dir=cfg.out_dir, metrics_path=metrics_path,

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import reference_forms as ref
 from conftest import fd_check, forward_loss, random_inputs, tiny_params
 from mixvae import model
+from mixvae.adam import AdamState, adam_step
 from mixvae.checkpoint import load_checkpoint, save_checkpoint
-from mixvae.model import backward, draw_eps, supervised_elbo
+from mixvae.model import Architecture, backward, draw_eps, init_params, supervised_elbo
 from mixvae.replay import UsageCounts, take_snapshot
 from mixvae.rng import RngState
 
@@ -187,6 +190,7 @@ def test_single_component_constrained_equals_marginal(batch):
     x = random_inputs(batch, 6, seed=batch + 80)
     eps = draw_eps(params, batch, RngState(batch, (34,)))
     loss_m, grads_m, _ = backward(x, params, None, eps=eps)
+    grads_m = {name: g.copy() for name, g in grads_m.items()}  # the next call rewrites them
     loss_c, grads_c, _ = backward(x, params, None, y_obs=np.zeros(batch, dtype=int), eps=eps)
     assert loss_c == loss_m
     for name, g in grads_m.items():
@@ -287,12 +291,38 @@ def test_objects_that_have_decoded_share_no_block():
     assert not any(np.shares_memory(u, v) for u in views(a) for v in views(b))
 
 
+def test_a_full_scale_float32_step_allocates_no_gradient_vector():
+    # 784-1200-600-300-150 encoder, n_z 32, 500-500 decoder at K=25 in
+    # float32: once the step buffers and the Adam moments exist, backward
+    # writes its gradients into the step buffers, so a whole training step
+    # traces less than the float32 gradient vector's own bytes
+    arch = Architecture(784, (1200, 600, 300, 150), 32, (500, 500), k_max=25)
+    rng = RngState(0, (70,))
+    params = init_params(arch, rng, k_init=25)
+    params.compute_dtype = np.dtype(np.float32)
+    x = rng.uniform(0.0, 1.0, (64, arch.input_dim))
+    eps = draw_eps(params, 64, rng)
+    adam = AdamState()
+
+    def step():
+        _, grads, _ = backward(x, params, None, eps=eps)
+        adam_step(params, grads, adam)
+    step()  # makes the step buffers and the moments
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * params.vector.size
+
+
 def _all_outputs(params, x, eps, y):
     """Loss, gradient vector and elbo fields of both loss paths at (x, eps, y)."""
     out = []
     for y_obs in (None, y):
         loss, grads, _ = backward(x, params, None, y_obs=y_obs, eps=eps)
-        out += [loss, grads.vector]
+        out += [loss, grads.vector.copy()]  # the next call rewrites the vector
     bd = model.elbo(x, params, None, eps=eps)
     out += [bd.task_posterior, bd.recon_per_component, bd.gauss_kl_per_component, bd.cat_kl,
             bd.total, supervised_elbo(x, y, params, None, eps=eps)]

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from mixvae.model import (
     BERNOULLI_EPS,
     SIGMA_FLOOR,
     ModelParams,
+    apply_memory_policy,
     backward,
     component_posterior_params,
     decode,
@@ -195,13 +197,54 @@ class TestFlatLayout:
         assert np.array_equal(twin.vector, params.vector)
 
     def test_gradients_share_the_layout_and_never_alias(self):
-        params = tiny_params(k=3)
-        x = random_inputs(2, 6)
-        _, g1, _ = backward(x, params, None, eps=draw_eps(params, 2, RngState(3, (18,))))
-        _, g2, _ = backward(x, params, None, eps=draw_eps(params, 2, RngState(4, (18,))))
-        assert g1.shapes == g2.shapes == params.shapes
-        assert not np.shares_memory(g1.vector, g2.vector)
-        assert not np.shares_memory(g1.vector, params.vector)
+        # the gradients are the step buffers' vector: in the parameters'
+        # layout and the compute dtype, apart from the parameters, the shadow
+        # and a clone's gradients, and rewritten by the next backward
+        for dtype in (np.float64, np.float32):
+            params = tiny_params(k=3)
+            params.compute_dtype = np.dtype(dtype)
+            twin = params.clone()
+            x = random_inputs(2, 6)
+            eps1, eps2 = (draw_eps(params, 2, RngState(seed, (18,))) for seed in (3, 4))
+            _, g1, _ = backward(x, params, None, eps=eps1)
+            first = g1.vector.copy()
+            _, g_twin, _ = backward(x, twin, None, eps=eps1)
+            assert g1.shapes == g_twin.shapes == params.shapes
+            assert g1.vector.dtype == dtype and g1.vector.size == params.vector.size
+            shadow = params.step_buffers.shadow
+            assert (shadow is None) == (dtype == np.float64)
+            for other in (params.vector, twin.vector, g_twin.vector,
+                          *([] if shadow is None else [shadow.vector])):
+                assert not np.shares_memory(g1.vector, other)
+            assert np.array_equal(g_twin.vector, first)
+
+            _, g2, _ = backward(x, params, None, eps=eps2)
+            assert g2.vector is g1.vector and np.array_equal(g_twin.vector, first)
+            _, want, _ = backward(x, twin, None, eps=eps2)
+            assert np.array_equal(g2.vector, want.vector)
+            assert not np.array_equal(g2.vector, first)
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+_mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+
+
+@pytest.mark.skipif(_mallinfo2 is None, reason="needs glibc's mallinfo2")
+def test_memory_policy_maps_every_large_array_of_its_own():
+    _mallinfo2.restype = _Mallinfo2
+    apply_memory_policy()
+    # Freeing a mapped block raises glibc's dynamic mmap threshold to its
+    # size (at most 32 MiB), after which a 6 MiB array would come from the
+    # heap; under the policy it is still a mapping of its own.
+    np.empty(30 << 20, np.uint8)
+    before = _mallinfo2().hblkhd
+    block = np.empty(6 << 20, np.uint8)
+    assert _mallinfo2().hblkhd - before >= block.nbytes
 
 
 class TestDecode:

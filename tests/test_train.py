@@ -1,4 +1,5 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -43,26 +44,37 @@ class TestRunTrain:
         assert os.path.exists(os.path.join(cfg.out_dir, "config.txt"))
 
     def test_one_step_buffer_object_for_the_run_freed_at_its_end(self, tmp_path, monkeypatch):
-        used, snapshots = [], []
+        used, snapshots, blocks, live_at_eval = [], [], [], []
         fit = StepBuffers.fit
 
         def recording_fit(self, *args):
-            used.append(self)
-            return fit(self, *args)
+            used.append(id(self))  # not the object, which would keep its block alive
+            fit(self, *args)
+            if not blocks or blocks[-1]() is not self.grads.vector.base:
+                blocks.append(weakref.ref(self.grads.vector.base))  # a new block
+            return self
 
         def recording_take_snapshot(*args):
             snapshots.append(take_snapshot(*args))
             return snapshots[-1]
+
+        def recording_evaluate(params, *args, **kwargs):
+            live_at_eval.append(sum(block() is not None for block in blocks))
+            return evaluation.evaluate(params, *args, **kwargs)
         monkeypatch.setattr(StepBuffers, "fit", recording_fit)
         monkeypatch.setattr("mixvae.train.take_snapshot", recording_take_snapshot)
+        monkeypatch.setattr("mixvae.train.evaluate", recording_evaluate)
         # 600 steps: real and replay batches, an expansion with its finetune, eval steps
         result = run_train(toy_cfg(tmp_path))
         assert result.expansion_log and len(snapshots) == len(result.snapshot_steps) > 0
-        assert len(used) > 600 and all(bufs is used[0] for bufs in used)
+        assert len(used) > 600 and set(used) == {used[0]}
         # the run's own buffers are released; the snapshots only generate, so
         # their generative copies have none
-        assert result.params.step_buffers is not used[0]
+        assert id(result.params.step_buffers) != used[0]
         assert result.params.step_buffers.rows == 0
+        # its block is freed before the last evaluation, not after it: no
+        # gradient view keeps it alive
+        assert live_at_eval[-1] == 0 and all(live == 1 for live in live_at_eval[:-1])
         assert not any(hasattr(snap.params, "step_buffers") for snap in snapshots)
 
     def test_seed_determinism_byte_identical(self, tmp_path):

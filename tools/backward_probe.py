@@ -13,9 +13,10 @@ presets train). Inputs are seeded uniform values in [0, 1]. Each cell
 is the median wall time of 5 timed calls after one untimed call, then
 the minor page faults and the system CPU time per timed call
 (`resource.getrusage` over the 5 calls). The table also times
-`adam.adam_step` the same way, on the gradient of that cell's marginal
-`backward` (a fresh `AdamState`, whose untimed first call makes the
-moments), and sums the two medians into the marginal step's ms. As in
+`adam.adam_step` the same way, on the gradient vector that cell's
+`backward` calls rewrite in the parameters' step buffers (a fresh
+`AdamState`, whose untimed first call makes the moments), and sums the
+two medians into the marginal step's ms. As in
 training, a float32 `backward` reads the shadow that the call before it
 or `adam_step` left mirroring the parameters, so it copies none. Before
 the table it prints the one-off cost of the process's first `adam_step`
