@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adam import AdamState, hyperparameter_problem, zero_moments
+from .data import read_le_into
 from .errors import CheckpointError
 from .model import Architecture, ModelParams, param_spec
 from .replay import UsageCounts
@@ -76,14 +77,6 @@ class _Reader:
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def fill(self, out: np.ndarray) -> None:
-        """Read the file's next out.size '<f8' values into `out` (the caller
-        has checked that the file holds them)."""
-        raw = out.view("<f8")
-        self.fh.readinto(memoryview(raw).cast("B"))
-        if raw.dtype != out.dtype:
-            out.byteswap(inplace=True)
 
     def bytes_left(self) -> int:
         return os.fstat(self.fh.fileno()).st_size - self.fh.tell()
@@ -172,7 +165,7 @@ def _read_checkpoint(rd: _Reader) -> LoadedCheckpoint:
     usage.total_batches = usage_total
     for field, vector in (("parameter", params.vector), ("Adam m", adam.m.vector),
                           ("Adam v", adam.v.vector), ("usage count", usage.accumulated)):
-        rd.fill(vector)
+        read_le_into(rd.fh, vector)
         if not np.isfinite(vector).all():
             raise CheckpointError(f"non-finite {field} value")
     if (usage.accumulated < 0).any() or (usage_total and not usage.accumulated.any()):

@@ -11,6 +11,8 @@ determined by the seed and stays unchanged when unrelated features
 from __future__ import annotations
 
 import gzip
+import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -24,6 +26,8 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 MATRIX_MAGIC = b"MVDS\x01\x00"
+# magic, N, D, C, rows, cols, dtype code; see `save_matrix_dataset`.
+MATRIX_HEAD = struct.Struct("<6sQQQIIB")
 
 STREAM_MODES = ("iid", "sequential", "continuous_drift", "split_task")
 
@@ -87,70 +91,73 @@ def _read_maybe_gzip(path) -> memoryview:
         raise DataFormatError(f"gzip: {path} is truncated or corrupt ({exc})") from None
 
 
+def _read_idx(path, magic_want: int, n_dims: int, what: str) -> tuple[list[int], np.ndarray]:
+    """The dimensions and uint8 payload of a big-endian IDX file."""
+    data = _read_maybe_gzip(path)
+    head = 4 + 4 * n_dims
+    if len(data) < head:
+        raise DataFormatError(f"magic: {what} file {path} shorter than its header")
+    magic, *dims = struct.unpack(f">{1 + n_dims}I", data[:head])
+    if magic != magic_want:
+        raise DataFormatError(f"magic: expected {magic_want:#010x} in {path}, got {magic:#010x}")
+    payload, size = data[head:], math.prod(dims)
+    if len(payload) != size:
+        raise DataFormatError(f"payload: {what} file {path} has {len(payload)} bytes, "
+                              f"expected {size}")
+    return dims, np.frombuffer(payload, dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Parse a big-endian IDX image/label file pair into a Dataset.
 
     Pixel bytes are divided by 255. Raises DataFormatError naming the
     offending field (gzip, magic, count, payload) on malformed input.
     """
-    data = _read_maybe_gzip(images_path)
-    if len(data) < 16:
-        raise DataFormatError(f"magic: image file {images_path} shorter than its header")
-    magic, n, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataFormatError(f"magic: expected {IDX_IMAGES_MAGIC:#010x} in {images_path}, got {magic:#010x}")
-    payload = data[16:]
-    if len(payload) != n * rows * cols:
-        raise DataFormatError(f"payload: image file {images_path} has {len(payload)} bytes, expected {n * rows * cols}")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols) / 255.0
-
-    data = _read_maybe_gzip(labels_path)
-    if len(data) < 8:
-        raise DataFormatError(f"magic: label file {labels_path} shorter than its header")
-    magic, n_labels = struct.unpack(">II", data[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataFormatError(f"magic: expected {IDX_LABELS_MAGIC:#010x} in {labels_path}, got {magic:#010x}")
-    raw = data[8:]
-    if len(raw) != n_labels:
-        raise DataFormatError(f"payload: label file {labels_path} has {len(raw)} bytes, expected {n_labels}")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
+    (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "image")
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label")
     if n != n_labels:
         raise DataFormatError(f"count: {n} images but {n_labels} labels")
-    return Dataset(images, labels, split=split, image_hw=(rows, cols))
+    return Dataset(pixels.reshape(n, rows * cols) / 255.0, labels.astype(np.int64),
+                   split=split, image_hw=(rows, cols))
 
 
 def save_matrix_dataset(path, dataset: Dataset) -> None:
     """Generic binary layout: magic, N u64, D u64, C u64, rows u32, cols u32,
     dtype u8 (0 = f64), then N*D little-endian f64 intensities, then N i64 labels."""
     with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<QQQIIB", len(dataset), dataset.dim, dataset.n_classes,
-                             dataset.image_hw[0], dataset.image_hw[1], 0))
+        fh.write(MATRIX_HEAD.pack(MATRIX_MAGIC, len(dataset), dataset.dim, dataset.n_classes,
+                                  *dataset.image_hw, 0))
         fh.write(np.ascontiguousarray(dataset.images, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes())
 
 
+def read_le_into(fh, out: np.ndarray) -> None:
+    """Fill `out` from the file's next out.nbytes bytes, stored little-endian."""
+    raw = out.view(out.dtype.newbyteorder("<"))
+    fh.readinto(raw)
+    if raw.dtype != out.dtype:
+        out.byteswap(inplace=True)
+
+
 def load_matrix_dataset(path, split: str = "train") -> Dataset:
+    """Read a `save_matrix_dataset` file, its payloads straight into their arrays."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:6] != MATRIX_MAGIC:
-        raise DataFormatError(f"magic: {path} is not a matrix dataset file")
-    header = struct.Struct("<QQQIIB")
-    if len(blob) < 6 + header.size:
-        raise DataFormatError(f"header: {path} has {len(blob)} bytes, shorter than "
-                              f"its {6 + header.size}-byte header")
-    n, d, c, rows, cols, dtype = header.unpack_from(blob, 6)
-    if dtype != 0:
-        raise DataFormatError(f"dtype: unsupported code {dtype}")
-    off = 6 + header.size
-    need = off + 8 * n * d + 8 * n
-    if len(blob) != need:
-        raise DataFormatError(f"payload: {path} has {len(blob)} bytes, expected {need}")
-    images = np.frombuffer(blob, dtype="<f8", count=n * d, offset=off).reshape(n, d)
-    labels = np.frombuffer(blob, dtype="<i8", count=n, offset=off + 8 * n * d).astype(np.int64)
-    return Dataset(images.astype(np.float64), labels, split=split, n_classes=int(c),
-                   image_hw=(rows, cols))
+        head = fh.read(MATRIX_HEAD.size)
+        if head[:6] != MATRIX_MAGIC:
+            raise DataFormatError(f"magic: {path} is not a matrix dataset file")
+        if len(head) < MATRIX_HEAD.size:
+            raise DataFormatError(f"header: {path} has {len(head)} bytes, shorter than "
+                                  f"its {MATRIX_HEAD.size}-byte header")
+        _, n, d, c, rows, cols, dtype = MATRIX_HEAD.unpack(head)
+        if dtype != 0:
+            raise DataFormatError(f"dtype: unsupported code {dtype}")
+        size, need = os.fstat(fh.fileno()).st_size, MATRIX_HEAD.size + 8 * n * d + 8 * n
+        if size != need:
+            raise DataFormatError(f"payload: {path} has {size} bytes, expected {need}")
+        images, labels = np.empty((n, d)), np.empty(n, dtype=np.int64)
+        read_le_into(fh, images)
+        read_le_into(fh, labels)
+    return Dataset(images, labels, split=split, n_classes=int(c), image_hw=(rows, cols))
 
 
 def split_train_valid(dataset: Dataset, n_valid: int, rng: RngState) -> tuple[Dataset, Dataset]:

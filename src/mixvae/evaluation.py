@@ -77,47 +77,49 @@ def cluster_accuracy(assignments: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(mapping[assignments] == labels))
 
 
+def _encode(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's shared representation h and q(y|x), `_ENCODE_CHUNK` rows at a time."""
+    h, q = np.empty((x.shape[0], params.arch.encoder[-1])), np.empty((x.shape[0], params.k))
+    for lo in range(0, x.shape[0], _ENCODE_CHUNK):
+        rows = slice(lo, lo + _ENCODE_CHUNK)
+        h[rows] = encode_shared(x[rows], params)
+        q[rows] = infer_task_posterior(h[rows], params)
+    return h, q
+
+
 def task_posteriors(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """q(y|x) for a matrix of inputs, chunked to bound memory."""
-    out = np.empty((x.shape[0], params.k))
-    for lo in range(0, x.shape[0], _ENCODE_CHUNK):
-        hi = min(lo + _ENCODE_CHUNK, x.shape[0])
-        out[lo:hi] = infer_task_posterior(encode_shared(x[lo:hi], params), params)
-    return out
+    return _encode(x, params)[1]
 
 
-def encode_eval_latents(dataset: Dataset, params: ModelParams, rng: RngState,
-                        mode: str = "sampled") -> tuple[np.ndarray, np.ndarray]:
-    """Latents and argmax components for every point in the dataset.
-
-    sampled mode draws one z ~ q(z | x, y_hat) from the given rng; mean
-    mode returns the posterior mean of the argmax component. Each chunk's
-    rows are grouped by argmax component, and each group's heads come from
-    `component_posterior_params`.
-    """
+def _latents(h: np.ndarray, comps: np.ndarray, params: ModelParams, rng: RngState,
+             mode: str) -> np.ndarray:
+    """Latents of the rows with shared representations h and argmax components
+    comps, `_ENCODE_CHUNK` rows and one normal draw from rng at a time: z ~ q(z |
+    x, y_hat) in sampled mode, that component's posterior mean in mean mode. A
+    chunk's rows are grouped by component for `component_posterior_params`."""
     if mode not in ("sampled", "mean"):
         raise ValueError(f"unknown latent mode {mode!r}")
-    nz = params.arch.n_z
-    x = dataset.images
-    latents = np.empty((x.shape[0], nz))
-    comps = np.empty(x.shape[0], dtype=np.int64)
-    for lo in range(0, x.shape[0], _ENCODE_CHUNK):
-        hi = min(lo + _ENCODE_CHUNK, x.shape[0])
-        h = encode_shared(x[lo:hi], params)
-        yhat = np.argmax(infer_task_posterior(h, params), axis=1)
-        mu, sig = np.empty((hi - lo, nz)), np.empty((hi - lo, nz))
+    latents = np.empty((h.shape[0], params.arch.n_z))
+    for lo in range(0, h.shape[0], _ENCODE_CHUNK):
+        rows = slice(lo, lo + _ENCODE_CHUNK)
+        yhat, mu, sig = comps[rows], np.empty_like(latents[rows]), np.empty_like(latents[rows])
         # Not np.unique: NumPy 2 imports numpy.ma on its first call, and that
         # module's objects, made mid-run, can sit at the top of glibc's heap
         # and keep tens of MB freed below them resident.
         for k in np.flatnonzero(np.bincount(yhat)):
-            rows = yhat == k
-            mu[rows], sig[rows] = component_posterior_params(h[rows], int(k), params)
-        if mode == "sampled":
-            latents[lo:hi] = mu + sig * rng.normal(mu.shape)
-        else:
-            latents[lo:hi] = mu
-        comps[lo:hi] = yhat
-    return latents, comps
+            mine = yhat == k
+            mu[mine], sig[mine] = component_posterior_params(h[rows][mine], int(k), params)
+        latents[rows] = mu + sig * rng.normal(mu.shape) if mode == "sampled" else mu
+    return latents
+
+
+def encode_eval_latents(dataset: Dataset, params: ModelParams, rng: RngState,
+                        mode: str = "sampled") -> tuple[np.ndarray, np.ndarray]:
+    """Latents (see `_latents`) and argmax components for every point in the dataset."""
+    h, q = _encode(dataset.images, params)
+    comps = np.argmax(q, axis=1)
+    return _latents(h, comps, params, rng, mode), comps
 
 
 def _k_nearest(d2: np.ndarray, k_top: int) -> np.ndarray:
@@ -209,9 +211,8 @@ def evaluate(params: ModelParams, test_dataset: Dataset, train_dataset: Dataset,
     row per class in ascending order. The k-NN fit uses a seeded
     subsample of their training set (and optionally of their test set)
     to bound cost; latents for both sides are produced in the same mode
-    from the given rng. When the k-NN test side is the whole test set,
-    its encoding also gives the argmax components, so the test set is
-    encoded once.
+    from the given rng. The test set is encoded once: that encoding gives
+    the argmax components and the k-NN test rows' latents.
     """
     c = max(test_dataset.n_classes, train_dataset.n_classes)
     classes = tuple(range(c)) if classes is None else tuple(sorted(set(classes)))
@@ -221,17 +222,17 @@ def evaluate(params: ModelParams, test_dataset: Dataset, train_dataset: Dataset,
         raise ValueError("empty test set")
 
     n_sub = min(knn_train_subsample, len(train_dataset))
-    sub_idx = rng.permutation(len(train_dataset))[:n_sub]
-    train_sub = train_dataset.subset(sub_idx)
-    knn_test = test_dataset
+    train_sub = train_dataset.subset(rng.permutation(len(train_dataset))[:n_sub])
+    pick = slice(None)  # the k-NN test rows
     if knn_test_subsample and knn_test_subsample < len(test_dataset):
-        knn_test = test_dataset.subset(rng.permutation(len(test_dataset))[:knn_test_subsample])
+        pick = rng.permutation(len(test_dataset))[:knn_test_subsample]
     train_z, _ = encode_eval_latents(train_sub, params, rng, latent_mode)
-    test_z, assignments = encode_eval_latents(knn_test, params, rng, latent_mode)
-    if knn_test is not test_dataset:
-        assignments = np.argmax(task_posteriors(test_dataset.images, params), axis=1)
+    h, q = _encode(test_dataset.images, params)
+    assignments = np.argmax(q, axis=1)
+    test_z = _latents(h[pick], assignments[pick], params, rng, latent_mode)
     usable = tuple(k for k in ks if k <= n_sub)
-    knn = knn_errors(train_z, train_sub.labels, test_z, knn_test.labels, usable) if usable else {}
+    knn = knn_errors(train_z, train_sub.labels, test_z, test_dataset.labels[pick],
+                     usable) if usable else {}
 
     confusion = np.zeros((c, params.k), dtype=np.int64)
     np.add.at(confusion, (test_dataset.labels, assignments), 1)
@@ -278,10 +279,8 @@ def incremental_task_accuracy(params: ModelParams, test_dataset: Dataset,
     q = task_posteriors(test_dataset.images, params)
     correct = 0
     for i, true in enumerate(test_dataset.labels):
-        pair = class_to_pair[int(true)]
-        sub = [p for p in pair if p < params.k]
-        pred = sub[int(np.argmax(q[i, sub]))]
-        correct += int(pred == true)
+        sub = [p for p in class_to_pair[int(true)] if p < params.k]
+        correct += int(sub[int(np.argmax(q[i, sub]))] == true)
     return correct / len(test_dataset)
 
 

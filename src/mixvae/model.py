@@ -737,14 +737,6 @@ def _backward(params: ModelParams, cache: _Cache,
     return loss, grads
 
 
-def relu_margin(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> float:
-    """Smallest |input| of any encoder or decoder ReLU unit at inputs x and noise eps."""
-    cache = _forward(params, as_f64(x), eps)
-    layers = params.layers["enc"] + params.layers["dec"][:-1]
-    return min(float(np.min(np.abs(h @ cache.w[w].T + cache.w[b])))
-               for (w, b), (h, _) in zip(layers, cache.enc + cache.dec))
-
-
 def backward(x: np.ndarray, params: ModelParams, rng: RngState,
              y_obs=None, eps: np.ndarray | None = None):
     """Loss and gradients of the negative batch-mean objective.

@@ -51,7 +51,7 @@ from .model import (
     draw_eps,
     elbo,
     init_params,
-    relu_margin,
+    _run_forward,
 )
 from .replay import Snapshot, UsageCounts, replay_step, take_snapshot
 from .rng import (
@@ -341,6 +341,14 @@ def grad_rel_errors(params: ModelParams, grads: Mapping[str, np.ndarray],
         denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
         out[name] = float(np.max(np.abs(g - fd) / denom))
     return out
+
+
+def relu_margin(params: ModelParams, x: np.ndarray, eps: np.ndarray) -> float:
+    """Smallest |input| of any encoder or decoder ReLU unit at inputs x and noise eps."""
+    cache, _, _ = _run_forward(x, params, None, eps)
+    layers = params.layers["enc"] + params.layers["dec"][:-1]
+    return min(float(np.min(np.abs(h @ cache.w[w].T + cache.w[b])))
+               for (w, b), (h, _) in zip(layers, cache.enc + cache.dec))
 
 
 def run_gradcheck(seed: int = 0, n_configs: int = 5, h: float = 1e-5, verbose: bool = True):

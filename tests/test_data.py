@@ -103,6 +103,14 @@ class TestMatrixFormat:
         assert back.n_classes == 3
         assert back.image_hw == (2, 3)
 
+    def test_round_trip_of_zero_rows(self, tmp_path):
+        path = tmp_path / "empty.mvds"
+        save_matrix_dataset(path, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64),
+                                          n_classes=3, image_hw=(2, 3)))
+        back = load_matrix_dataset(path)
+        assert back.images.shape == (0, 6) and back.labels.shape == (0,)
+        assert back.n_classes == 3
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"nope" + b"\x00" * 64)

@@ -314,6 +314,39 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, empty, ds, RngState(22, (113,)))
 
+    def subsample_case(self):
+        """1,600 test rows, 200 train rows, and a 4-component toy net."""
+        test = make_blob_dataset(400, RngState(23, (114,)), dim=16, split="test")
+        train = make_blob_dataset(50, RngState(24, (115,)), dim=16)
+        from mixvae.model import Architecture, init_params
+        arch = Architecture(input_dim=16, encoder=(8, 6), n_z=3, decoder=(6, 8), k_max=4)
+        return test, train, init_params(arch, RngState(25, (116,)), k_init=4)
+
+    def test_subsampled_test_set_is_encoded_once(self, monkeypatch):
+        test, train, params = self.subsample_case()
+        rows = []
+
+        def counting_encode(x, p):
+            rows.append(len(x))
+            return encode_shared(x, p)
+
+        monkeypatch.setattr(evaluation, "encode_shared", counting_encode)
+        evaluate(params, test, train, RngState(26, (117,)), knn_train_subsample=200,
+                 knn_test_subsample=300)
+        assert sum(rows) - 200 == len(test) == 1600
+
+    def test_subsample_latents_match_encoding_the_subsample_alone(self):
+        test, train, params = self.subsample_case()
+        report = evaluate(params, test, train, RngState(27, (118,)), knn_train_subsample=150,
+                          knn_test_subsample=300)
+        rng = RngState(27, (118,))
+        train_sub = train.subset(rng.permutation(200)[:150])
+        test_sub = test.subset(rng.permutation(1600)[:300])
+        train_z, _ = encode_eval_latents(train_sub, params, rng)
+        test_z, _ = encode_eval_latents(test_sub, params, rng)
+        assert report.knn_error == knn_errors(train_z, train_sub.labels, test_z,
+                                              test_sub.labels, (3, 5, 10))
+
 
 class TestIncremental:
     def one_hot_params(self, n_classes=4, dim=16):

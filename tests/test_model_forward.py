@@ -22,10 +22,10 @@ from mixvae.model import (
     infer_task_posterior,
     init_params,
     param_spec,
-    relu_margin,
     supervised_elbo,
 )
 from mixvae.rng import RngState
+from mixvae.train import relu_margin
 
 
 class TestEncodeShared:
